@@ -109,6 +109,10 @@ _OPTION_TYPES = {
     "header": (_bool, False),
 }
 
+# allowed values of the keys that take one of a fixed set
+_CHOICES = {"mode": ("knn", "energy", "both"), "baseline": ("pixels",),
+            "style": ("fixed", "random")}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -160,10 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_train_data(p)
     add_test_data(p)
     p.add_argument("--model", help="encoder checkpoint")
-    p.add_argument("--mode", choices=("knn", "energy", "both"))
+    p.add_argument("--mode", choices=_CHOICES["mode"])
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--baseline", choices=("pixels",),
+    p.add_argument("--baseline", choices=_CHOICES["baseline"],
                    help="also report raw-pixel kNN error")
     p.add_argument("--out", help="write method,split,error_percent rows here")
     p.add_argument("--dump-predictions", help="write per-point prediction CSV here")
@@ -177,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="materialize per-class train/test CSV fixtures")
     p.add_argument("--csv", help="input CSV (label,features...)")
-    p.add_argument("--style", choices=("fixed", "random"))
+    p.add_argument("--style", choices=_CHOICES["style"])
     p.add_argument("--seed", type=int)
     p.add_argument("--per-class-train", type=int)
     p.add_argument("--per-class-test", type=int)
@@ -217,6 +221,10 @@ def _resolve(args, keys: list[str]) -> dict:
             resolved[key] = convert(cli_value) if isinstance(cli_value, str) else cli_value
         elif key in file_cfg:
             resolved[key] = convert(file_cfg[key])
+            # argparse checks choices on flags only
+            if key in _CHOICES and resolved[key] not in _CHOICES[key]:
+                raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, "
+                                  f"got {resolved[key]!r}")
         else:
             resolved[key] = default
     return resolved

@@ -10,18 +10,20 @@ with the table.  Rows whose hinge argument is <= 0 are inactive and
 contribute nothing to the value or the gradient; the sub-gradient at the
 kink is taken as 0.
 
-The implementation scans the table once via its unique-pair decomposition:
-squared distances are evaluated once per distinct (anchor, target) and
-(anchor, impostor) pair and gathered back onto rows.  Each active row
-contributes three updates to the code gradient, which is algebraically the
-per-point pull/push sum:
+The table is never expanded into rows.  A pass walks it in fixed-size
+anchor chunks, evaluates each anchor's (k,) target and (M,) impostor
+squared distances once, and broadcasts them into the (k, M) block of hinge
+arguments.  Each active row contributes three updates to the code
+gradient, which is algebraically the per-point pull/push sum:
 
     row i += 2 (y_i - y_l) - 2 (y_i - y_j)
     row l -= 2 (y_i - y_l)
     row j += 2 (y_i - y_j)
 
-The scatter is organized as a graph-Laplacian product over signed active
-pair counts, which keeps the whole pass vectorized and reproducible.
+so each (anchor, target) pair is weighted by its active impostors and each
+(anchor, impostor) pair by its active targets.  The scatter is a
+graph-Laplacian product over those signed pair weights, which keeps the
+whole pass vectorized and reproducible.
 """
 
 from __future__ import annotations
@@ -68,75 +70,73 @@ class LinearBaselineConfig:
             raise ConfigError("penalty must be nonnegative")
 
 
+# rows per hinge block; bounds the working set of a pass to a few MB
+_CHUNK_ROWS = 1 << 16
+
+
 def _check_indices(codes: np.ndarray, table: TriplesTable) -> None:
-    rows = table.rows
-    if rows.size and (rows.min() < 0 or rows.max() >= codes.shape[0]):
-        raise ConsistencyError(
-            f"triple indices must lie in [0, {codes.shape[0]}), "
-            f"found range [{rows.min()}, {rows.max()}]"
-        )
+    for indices in (table.anchors, table.targets, table.impostors):
+        if indices.size and (indices.min() < 0 or indices.max() >= codes.shape[0]):
+            raise ConsistencyError(
+                f"triple indices must lie in [0, {codes.shape[0]}), "
+                f"found range [{indices.min()}, {indices.max()}]"
+            )
 
 
-def _pair_distances(codes: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    diff = codes[pairs[:, 0]] - codes[pairs[:, 1]]
-    return (diff * diff).sum(axis=1)
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    return (diff * diff).sum(axis=-1)
 
 
-def _hinge_arguments(codes: np.ndarray, table: TriplesTable) -> np.ndarray:
-    """1 + d(i,l) - d(i,j) for every table row."""
-    pairs = table.pairs
-    d_target = _pair_distances(codes, pairs.target_pairs)
-    d_impostor = _pair_distances(codes, pairs.impostor_pairs)
-    return 1.0 + d_target[pairs.target_ids] - d_impostor[pairs.impostor_ids]
-
-
-def _scatter_pair_grad(grad: np.ndarray, codes: np.ndarray, pairs: np.ndarray,
-                       weights: np.ndarray) -> None:
+def _scatter_pair_grad(grad: np.ndarray, codes: np.ndarray, a: np.ndarray,
+                       b: np.ndarray, weights: np.ndarray) -> None:
     """Add 2 * w * [(y_a - y_b) into row a, (y_b - y_a) into row b] per pair."""
     n = codes.shape[0]
-    data = np.concatenate((weights, weights)).astype(np.float64)
-    r = np.concatenate((pairs[:, 0], pairs[:, 1]))
-    c = np.concatenate((pairs[:, 1], pairs[:, 0]))
-    adjacency = sparse.coo_matrix((data, (r, c)), shape=(n, n)).tocsr()
-    deg = np.asarray(adjacency.sum(axis=1)).ravel()
-    grad += 2.0 * (deg[:, None] * codes - adjacency @ codes)
+    w = sparse.csr_matrix((weights.astype(np.float64), (a, b)), shape=(n, n))
+    deg = np.asarray(w.sum(axis=1)).ravel() + np.asarray(w.sum(axis=0)).ravel()
+    grad += 2.0 * (deg[:, None] * codes - w @ codes - w.T @ codes)
+
+
+def _hinge_pass(codes: np.ndarray, table: TriplesTable,
+                target_w: np.ndarray | None = None,
+                impostor_w: np.ndarray | None = None) -> MarginLoss:
+    """Value and active-row count, scanned in anchor chunks.  When given,
+    target_w (A, k) and impostor_w (A, M) receive each pair's active rows."""
+    _check_indices(codes, table)
+    value, active = 0.0, 0
+    step = max(1, _CHUNK_ROWS // max(1, table.targets.shape[1] * table.impostors.shape[1]))
+    for start in range(0, table.anchors.shape[0], step):
+        chunk = slice(start, start + step)
+        anchor = codes[table.anchors[chunk]][:, None, :]
+        d_target = _sq_norms(codes[table.targets[chunk]] - anchor)
+        d_impostor = _sq_norms(codes[table.impostors[chunk]] - anchor)
+        z = 1.0 + d_target[:, :, None] - d_impostor[:, None, :]
+        viol = z > 0.0
+        value += float(z.sum(dtype=np.float64, where=viol))
+        active += int(np.count_nonzero(viol))
+        if target_w is not None:
+            target_w[chunk] = np.count_nonzero(viol, axis=2)
+            impostor_w[chunk] = np.count_nonzero(viol, axis=1)
+    return MarginLoss(value, active)
 
 
 def loss(codes: np.ndarray, table: TriplesTable) -> MarginLoss:
     """Objective value and active-row count without the gradient."""
-    codes = np.atleast_2d(np.asarray(codes))
-    _check_indices(codes, table)
-    if len(table) == 0:
-        return MarginLoss(0.0, 0)
-    z = _hinge_arguments(codes, table)
-    viol = z > 0.0
-    return MarginLoss(float(z.sum(dtype=np.float64, where=viol)), int(viol.sum()))
+    return _hinge_pass(np.atleast_2d(np.asarray(codes)), table)
 
 
 def loss_and_code_grad(codes: np.ndarray,
                        table: TriplesTable) -> tuple[MarginLoss, np.ndarray]:
     """Objective value plus its gradient with respect to every code row."""
     codes = np.atleast_2d(np.asarray(codes))
-    _check_indices(codes, table)
+    target_w = np.empty(table.targets.shape, dtype=np.int64)
+    impostor_w = np.empty(table.impostors.shape, dtype=np.int64)
+    result = _hinge_pass(codes, table, target_w, impostor_w)
     grad = np.zeros_like(codes)
-    if len(table) == 0:
-        return MarginLoss(0.0, 0), grad
-    pairs = table.pairs
-    z = _hinge_arguments(codes, table)
-    viol = z > 0.0
-    result = MarginLoss(float(z.sum(dtype=np.float64, where=viol)), int(viol.sum()))
     if result.active_triples:
-        # how many active rows each unique pair participates in
-        target_w = np.bincount(pairs.target_ids[viol],
-                               minlength=pairs.target_pairs.shape[0])
-        impostor_w = np.bincount(pairs.impostor_ids[viol],
-                                 minlength=pairs.impostor_pairs.shape[0])
-        active_t = target_w > 0
-        active_i = impostor_w > 0
-        _scatter_pair_grad(grad, codes, pairs.target_pairs[active_t],
-                           target_w[active_t])
-        _scatter_pair_grad(grad, codes, pairs.impostor_pairs[active_i],
-                           -impostor_w[active_i])
+        for others, weights in ((table.targets, target_w), (table.impostors, -impostor_w)):
+            used = weights != 0
+            anchors = np.broadcast_to(table.anchors[:, None], others.shape)
+            _scatter_pair_grad(grad, codes, anchors[used], others[used], weights[used])
     return result, grad
 
 
@@ -170,11 +170,11 @@ def linear_baseline_loss(params: EncoderParams, batch: np.ndarray,
     codes, cache = forward_with_cache(params, batch)
     hinge_part, hinge_grad = loss_and_code_grad(codes, table)
 
-    target_pairs = table.pairs.target_pairs
-    pull = float(_pair_distances(codes, target_pairs).sum(dtype=np.float64))
+    anchors = np.repeat(table.anchors, table.targets.shape[1])
+    a, b = np.unique(np.column_stack((anchors, table.targets.ravel())), axis=0).T
+    pull = float(_sq_norms(codes[a] - codes[b]).sum(dtype=np.float64))
     pull_grad = np.zeros_like(codes)
-    _scatter_pair_grad(pull_grad, codes, target_pairs,
-                       np.ones(target_pairs.shape[0]))
+    _scatter_pair_grad(pull_grad, codes, a, b, np.ones(a.size))
 
     code_grad = pull_grad + cfg.penalty * hinge_grad
     grads = backward(params, cache, code_grad)

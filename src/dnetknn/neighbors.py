@@ -4,12 +4,15 @@ class impostor neighbors, and the (anchor, target, impostor) triples table.
 Neighbors are chosen once in the original feature space by exact squared
 Euclidean distance and are never refreshed while the codes move.  Distance
 ties break toward the smaller index so tables are reproducible.
+
+The table stays factored: per anchor, its k targets and its M = m * (c-1)
+impostors, n * (1 + k + M) indices in all.  Its n * k * M rows are that
+per-anchor cross product and are materialized only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,65 +35,46 @@ class NeighborConfig:
 
 
 @dataclass(frozen=True)
-class PairDecomposition:
-    """Unique (anchor, target) and (anchor, impostor) pairs of a table plus
-    the map from table rows back to them.
+class TriplesTable:
+    """(anchor i, same-class target l, foreign impostor j) triples, factored
+    per anchor.
 
-    Target pairs repeat once per impostor and impostor pairs once per
-    target, so distance work per pass drops from one evaluation per row to
-    one per unique pair.
+    The rows are every (anchors[a], targets[a, t], impostors[a, s]): each
+    anchor's targets crossed with its impostors.  Storage is A * (1 + k + M)
+    indices for A * k * M rows; a set of arbitrary rows is the k = M = 1
+    case.
     """
 
-    target_pairs: np.ndarray  # (P1, 2)
-    target_ids: np.ndarray  # (T,) row -> target pair
-    impostor_pairs: np.ndarray  # (P2, 2)
-    impostor_ids: np.ndarray  # (T,) row -> impostor pair
-
-
-@dataclass(frozen=True)
-class TriplesTable:
-    """Rows of (anchor i, same-class target l, foreign impostor j) indices."""
-
-    rows: np.ndarray  # (T, 3) int64
+    anchors: np.ndarray  # (A,) int64
+    targets: np.ndarray  # (A, k) int64
+    impostors: np.ndarray  # (A, M) int64
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise ConfigError(f"triples must be (T, 3), got {rows.shape}")
-        rows = rows.view()
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        for name in ("anchors", "targets", "impostors"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64).view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        a, t, i = self.anchors, self.targets, self.impostors
+        if a.ndim != 1 or t.ndim != 2 or i.ndim != 2 or \
+                not a.shape[0] == t.shape[0] == i.shape[0]:
+            raise ConfigError(
+                f"triples need anchors (A,), targets (A, k) and impostors (A, M), "
+                f"got {a.shape}, {t.shape} and {i.shape}"
+            )
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self.anchors.shape[0] * self.targets.shape[1] * self.impostors.shape[1]
 
     @property
-    def anchors(self) -> np.ndarray:
-        return self.rows[:, 0]
-
-    @property
-    def targets(self) -> np.ndarray:
-        return self.rows[:, 1]
-
-    @property
-    def impostors(self) -> np.ndarray:
-        return self.rows[:, 2]
-
-    @cached_property
-    def pairs(self) -> PairDecomposition:
-        if len(self) == 0:
-            empty = np.empty((0, 2), dtype=np.int64)
-            ids = np.empty(0, dtype=np.int64)
-            return PairDecomposition(empty, ids, empty, ids)
-        base = int(self.rows.max()) + 1
-        t_keys, t_ids = np.unique(self.anchors * base + self.targets,
-                                  return_inverse=True)
-        i_keys, i_ids = np.unique(self.anchors * base + self.impostors,
-                                  return_inverse=True)
-        return PairDecomposition(
-            np.column_stack((t_keys // base, t_keys % base)), t_ids,
-            np.column_stack((i_keys // base, i_keys % base)), i_ids,
-        )
+    def rows(self) -> np.ndarray:
+        """The (T, 3) row array, built on demand: anchor-major, then target
+        column, then impostor column."""
+        k, m = self.targets.shape[1], self.impostors.shape[1]
+        return np.column_stack((
+            np.repeat(self.anchors, k * m),
+            np.repeat(self.targets, m, axis=1).ravel(),
+            np.tile(self.impostors, (1, k)).ravel(),
+        ))
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,14 +155,8 @@ def build_triples(train: Dataset, cfg: NeighborConfig) -> TriplesTable:
     index ascending; the row count is n * k * (c-1) * m whenever the
     capacity preconditions hold.
     """
-    targets = target_neighbors(train, cfg.k)
-    impostors = impostor_neighbors(train, cfg.m)
-    n = len(train)
-    per_anchor = targets.shape[1] * impostors.shape[1]
-    i_col = np.repeat(np.arange(n, dtype=np.int64), per_anchor)
-    l_col = np.repeat(targets, impostors.shape[1], axis=1).ravel()
-    j_col = np.tile(impostors, (1, targets.shape[1])).ravel()
-    return TriplesTable(np.column_stack((i_col, l_col, j_col)))
+    return TriplesTable(np.arange(len(train), dtype=np.int64),
+                        target_neighbors(train, cfg.k), impostor_neighbors(train, cfg.m))
 
 
 def dump_triples(table: TriplesTable, path) -> None:

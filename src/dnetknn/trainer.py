@@ -61,9 +61,11 @@ class TrainConfig:
         if self.init_mode not in (INIT_RBM, INIT_RANDOM):
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
         try:
-            np.dtype(self.dtype)
+            dtype = np.dtype(self.dtype)
         except TypeError as exc:
             raise ConfigError(f"unknown dtype {self.dtype!r}") from exc
+        if not np.issubdtype(dtype, np.floating):
+            raise ConfigError(f"dtype must be a real floating type, got {self.dtype!r}")
 
     @property
     def neighbor_config(self) -> NeighborConfig:

@@ -140,6 +140,39 @@ class TestFinetune:
         assert code == 2
 
 
+    @pytest.mark.parametrize("dtype", ["int32", "complex128"])
+    def test_non_floating_dtype_exits_2(self, digit_files, tmp_path, dtype):
+        code = main([
+            "finetune", "--train-csv", str(digit_files / "train.csv"),
+            "--init", "random", "--layers", "64,4", "--dtype", dtype,
+            "--out", str(tmp_path / "o.dnkn"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "o.dnkn").exists()
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("eval", "mode = bogus"),
+    ("eval", "baseline = nonsense"),
+    ("split", "style = shuffled"),
+])
+def test_config_file_value_outside_choices_exits_2(digit_files, finetuned, tmp_path,
+                                                    command, entry, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{entry}\n")
+    out = tmp_path / "out.csv"
+    args = {
+        "eval": ["--train-csv", str(digit_files / "train.csv"),
+                 "--test-csv", str(digit_files / "test.csv"),
+                 "--model", str(finetuned), "--out", str(out)],
+        "split": ["--csv", str(digit_files / "train.csv"),
+                  "--out-train", str(out), "--out-test", str(tmp_path / "te.csv")],
+    }[command]
+    assert main(["--config", str(config), command, *args]) == 2
+    assert entry.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEval:
     def test_both_modes_and_baseline(self, digit_files, finetuned, tmp_path, capsys):
         out = tmp_path / "errors.csv"

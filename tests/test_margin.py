@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from dnetknn.neighbors import NeighborConfig, TriplesTable, build_triples
 
 from _synthetic import make_blobs
 from test_encoder import random_params
+from test_neighbors import integer_dataset
 
 
 def oracle_loss_and_grad(codes, rows):
@@ -43,6 +46,13 @@ def oracle_loss_and_grad(codes, rows):
     return total, active, grad
 
 
+def rows_table(rows):
+    """A table of arbitrary (i, l, j) rows: one target and one impostor per
+    anchor entry."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    return TriplesTable(rows[:, 0], rows[:, 1:2], rows[:, 2:3])
+
+
 def random_triples(rng, labels, count):
     """Random valid rows: same-class target, foreign impostor."""
     n = labels.size
@@ -55,7 +65,7 @@ def random_triples(rng, labels, count):
         if same.size == 0 or other.size == 0:
             continue
         rows.append((i, int(rng.choice(same)), int(rng.choice(other))))
-    return TriplesTable(np.array(rows, dtype=np.int64))
+    return rows_table(rows)
 
 
 def norm_relative_error(analytic, numeric):
@@ -85,7 +95,7 @@ class TestHinge:
 class TestLossAndCodeGrad:
     def test_inactive_single_triple(self):
         codes = np.array([[0.0], [1.0], [3.0]])
-        table = TriplesTable(np.array([[0, 1, 2]]))
+        table = rows_table([[0, 1, 2]])
         result, grad = loss_and_code_grad(codes, table)
         assert result.value == 0.0
         assert result.active_triples == 0
@@ -93,7 +103,7 @@ class TestLossAndCodeGrad:
 
     def test_hand_evaluated_single_triple(self):
         codes = np.array([[0.0], [1.0], [1.2]])
-        table = TriplesTable(np.array([[0, 1, 2]]))
+        table = rows_table([[0, 1, 2]])
         result, grad = loss_and_code_grad(codes, table)
         assert result.value == pytest.approx(0.56, abs=1e-12)
         assert result.active_triples == 1
@@ -133,7 +143,7 @@ class TestLossAndCodeGrad:
         codes = rng.standard_normal((20, 3))
         table = random_triples(rng, labels, 60)
         # keep every row away from the hinge kink so differencing is valid
-        i, l, j = table.anchors, table.targets, table.impostors
+        i, l, j = table.rows.T
         z = 1.0 + ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1)
         assert np.abs(z).min() > 1e-3
         _, grad = loss_and_code_grad(codes, table)
@@ -143,7 +153,7 @@ class TestLossAndCodeGrad:
     def test_unreferenced_rows_have_exactly_zero_gradient(self):
         rng = np.random.default_rng(24)
         codes = rng.standard_normal((12, 2))
-        table = TriplesTable(np.array([[0, 1, 2], [3, 4, 5]]))
+        table = rows_table([[0, 1, 2], [3, 4, 5]])
         _, grad = loss_and_code_grad(codes, table)
         assert not grad[6:].any()
 
@@ -158,7 +168,7 @@ class TestLossAndCodeGrad:
 
     def test_index_out_of_range(self):
         with pytest.raises(ConsistencyError):
-            loss(np.zeros((3, 2)), TriplesTable(np.array([[0, 1, 3]])))
+            loss(np.zeros((3, 2)), rows_table([[0, 1, 3]]))
 
     def test_zero_iff_no_active(self):
         rng = np.random.default_rng(26)
@@ -168,6 +178,72 @@ class TestLossAndCodeGrad:
             table = random_triples(rng, labels, 40)
             result = loss(codes, table)
             assert (result.value == 0.0) == (result.active_triples == 0)
+
+
+class TestFactoredTable:
+    """Tables from build_triples, scanned in factored form, against the
+    per-row oracle on their materialized rows."""
+
+    # (value rel, gradient norm-relative) per code dtype
+    TOLERANCES = {np.float64: (1e-12, 1e-10), np.float32: (1e-5, 1e-5)}
+
+    def check(self, codes, table):
+        want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
+        value_tol, grad_tol = self.TOLERANCES[codes.dtype.type]
+        only = loss(codes, table)
+        result, grad = loss_and_code_grad(codes, table)
+        for got in (only, result):
+            assert got.active_triples == want_active
+            assert got.value == pytest.approx(want_value, rel=value_tol, abs=value_tol)
+        assert grad.dtype == codes.dtype
+        assert norm_relative_error(grad, want_grad) < grad_tol
+        return want_active
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_integer_codes_with_hinge_ties(self, dtype):
+        # integral codes make every hinge argument an exact integer, so many
+        # rows sit exactly on the kink at 0
+        rng = np.random.default_rng(50)
+        checked = 0
+        while checked < 6:
+            data = integer_dataset(rng)
+            cfg = NeighborConfig(k=int(rng.integers(1, 4)), m=int(rng.integers(1, 4)))
+            counts = np.bincount(data.labels, minlength=data.num_classes)
+            if counts.min() < max(cfg.k + 1, cfg.m):
+                continue
+            checked += 1
+            table = build_triples(data, cfg)
+            codes = data.features.astype(dtype)
+            i, l, j = table.rows.T
+            z = ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1) + 1
+            assert (z == 0).any()
+            self.check(codes, table)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blob_codes(self, dtype):
+        data = make_blobs(per_class=30, num_classes=4, dim=6, seed=51)
+        table = build_triples(data, NeighborConfig(k=3, m=4))
+        proj = np.random.default_rng(52).standard_normal((6, 3)) * 0.3
+        codes = (data.features @ proj).astype(dtype)
+        active = self.check(codes, table)
+        assert 0 < active < len(table)
+
+    def test_peak_memory_below_materialized_rows(self):
+        rng = np.random.default_rng(53)
+        n, k, impostors = 4000, 5, 200
+        table = TriplesTable(np.arange(n), rng.integers(0, n, size=(n, k)),
+                             rng.integers(0, n, size=(n, impostors)))
+        assert len(table) >= 4_000_000
+        codes = rng.standard_normal((n, 10))
+        tracemalloc.start()
+        try:
+            result, _ = loss_and_code_grad(codes, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < result.active_triples < len(table)
+        # materialized (T, 3) int64 rows alone would take 24 bytes a row
+        assert peak < 24 * len(table)
 
 
 class TestInvariance:
@@ -221,7 +297,7 @@ class TestLossAndParamGrad:
         params = EncoderParams((Layer(w, np.zeros(2), LINEAR),))
         table = random_triples(rng, labels, 40)
         codes = x @ w
-        i, l, j = table.anchors, table.targets, table.impostors
+        i, l, j = table.rows.T
         z = 1.0 + ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1)
         act = z > 0
         dw_hand = np.zeros_like(w)
@@ -251,7 +327,7 @@ class TestLinearBaseline:
         params = random_params([4, 3, 2], seed=40)
         with pytest.raises(ConfigError):
             linear_baseline_loss(params, np.zeros((2, 4)),
-                                 TriplesTable(np.empty((0, 3), np.int64)),
+                                 rows_table([]),
                                  LinearBaselineConfig())
 
     def test_zero_penalty_is_pure_pull_and_descends(self):
@@ -259,7 +335,8 @@ class TestLinearBaseline:
         cfg = LinearBaselineConfig(penalty=0.0)
         value, grad = linear_baseline_loss(params, x, table, cfg)
         codes = forward(params, x)
-        keys = np.unique(table.anchors * len(x) + table.targets)
+        i, l, _ = table.rows.T
+        keys = np.unique(i * len(x) + l)
         pull = sum(((codes[k // len(x)] - codes[k % len(x)]) ** 2).sum() for k in keys)
         assert value == pytest.approx(pull, rel=1e-12)
         step = 1e-4 / max(1.0, np.abs(grad).max())
@@ -276,7 +353,8 @@ class TestLinearBaseline:
         table = build_triples(Dataset(x, labels, 2), NeighborConfig(1, 1))
         value, _ = linear_baseline_loss(params, x, table, LinearBaselineConfig(penalty=1.0))
         codes = forward(params, x)
-        keys = np.unique(table.anchors * 6 + table.targets)
+        i, l, _ = table.rows.T
+        keys = np.unique(i * 6 + l)
         pull = sum(((codes[k // 6] - codes[k % 6]) ** 2).sum() for k in keys)
         assert value == pytest.approx(pull, rel=1e-12)
 
@@ -297,7 +375,8 @@ class TestLinearBaseline:
         margin_value = loss(codes, table).value
         base_value, _ = linear_baseline_loss(params, x, table,
                                              LinearBaselineConfig(penalty=1.0))
-        keys = np.unique(table.anchors * len(x) + table.targets)
+        i, l, _ = table.rows.T
+        keys = np.unique(i * len(x) + l)
         pull = sum(((codes[k // len(x)] - codes[k % len(x)]) ** 2).sum() for k in keys)
         assert margin_value == pytest.approx(base_value - pull, rel=1e-10)
 

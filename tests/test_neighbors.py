@@ -166,6 +166,15 @@ class TestBuildTriples:
         with pytest.raises(CapacityError):
             build_triples(data, NeighborConfig(k=1, m=1))
 
+    def test_index_storage_is_linear_in_neighbors(self):
+        rng = np.random.default_rng(8)
+        data = integer_dataset(rng, n_range=(50, 51), classes_range=(3, 4))
+        cfg = NeighborConfig(k=2, m=3)
+        table = build_triples(data, cfg)
+        n, c = len(data), data.num_classes
+        stored = table.anchors.nbytes + table.targets.nbytes + table.impostors.nbytes
+        assert stored == 8 * n * (1 + cfg.k + cfg.m * (c - 1))
+
     def test_matches_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -188,7 +197,7 @@ class TestBuildTriples:
                 continue
             checked += 1
             table = build_triples(data, cfg)
-            i, l, j = table.anchors, table.targets, table.impostors
+            i, l, j = table.rows.T
             assert np.all(data.labels[i] == data.labels[l])
             assert np.all(i != l)
             assert np.all(data.labels[i] != data.labels[j])

@@ -201,3 +201,9 @@ def test_config_validation():
         TrainConfig(layer_sizes=(4, 2), k=0)
     with pytest.raises(ConfigError):
         TrainConfig(layer_sizes=(4, 2), init_mode="mystery")
+
+
+@pytest.mark.parametrize("dtype", ["int32", "bool", "complex128", "mystery"])
+def test_non_real_floating_dtype_rejected(dtype):
+    with pytest.raises(ConfigError, match="dtype"):
+        TrainConfig(layer_sizes=(4, 2), dtype=dtype)
