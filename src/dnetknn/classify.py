@@ -1,13 +1,14 @@
 """Code-space classifiers: majority-vote kNN and minimum-energy labeling.
 
-Tie rules are fixed for reproducibility.  kNN breaks distance ties toward
-the smaller training index and vote ties toward the class of the nearest
+Distances and neighbor order come from `neighbors.sq_dists` and
+`neighbors.nearest`: squared Euclidean distance, ties toward the smaller
+training index.  kNN breaks vote ties toward the class of the nearest
 neighbor among the tied classes.  Energy classification hypothesizes each
-class in turn for the test point: the point's k nearest codes of the
-hypothesized class act as targets, the m nearest codes of every other
-class act as impostors, and the hypothesis with the smallest hinge-energy
-sum wins (ties toward the smaller class id).  Neighbor selection here runs
-in code space because the test point has no row in the pixel-space tables.
+class in turn for the test point: its k nearest codes of that class act as
+targets, its m nearest codes of every other class act as impostors, and
+the smallest hinge-energy sum wins (ties toward the smaller class id).
+Energy runs on batches of test points, from float64 distances whatever the
+code dtype.  Both search code space: a test point has no pixel-table row.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConsistencyError
-from .neighbors import NeighborConfig
+from .errors import CapacityError, ConsistencyError, DimensionError
+from .neighbors import NeighborConfig, nearest, sq_dists
 
 _CHUNK_ROWS = 256
 
@@ -31,86 +32,81 @@ class Prediction:
     score: float
 
 
-def _sq_dists_to(train_codes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    aa = (points * points).sum(axis=1)[:, None]
-    bb = (train_codes * train_codes).sum(axis=1)[None, :]
-    d = aa + bb - 2.0 * (points @ train_codes.T)
-    np.maximum(d, 0.0, out=d)
-    return d
-
-
-def knn_predict(train_codes: np.ndarray, train_labels: np.ndarray,
-                test_codes: np.ndarray, k: int) -> list[Prediction]:
-    """Majority vote among the k nearest training codes of each test code."""
+def _checked(train_codes, train_labels, test_codes):
+    """Both classifiers' inputs as 2-D codes and int64 labels, checked."""
     train_codes = np.atleast_2d(np.asarray(train_codes))
     test_codes = np.atleast_2d(np.asarray(test_codes))
     train_labels = np.asarray(train_labels, dtype=np.int64)
     n = train_codes.shape[0]
     if n == 0:
-        raise CapacityError("knn needs a nonempty training set")
+        raise CapacityError("classification needs a nonempty training set")
     if train_labels.shape[0] != n:
         raise ConsistencyError(f"{train_labels.shape[0]} labels for {n} training codes")
+    if train_labels.min() < 0:
+        raise ConsistencyError("training labels must be class ids >= 0")
+    if test_codes.shape[1] != train_codes.shape[1]:
+        raise DimensionError(f"test codes have width {test_codes.shape[1]}, "
+                             f"training codes {train_codes.shape[1]}")
+    return train_codes, train_labels, test_codes
+
+
+def knn_predict(train_codes: np.ndarray, train_labels: np.ndarray,
+                test_codes: np.ndarray, k: int) -> list[Prediction]:
+    """Majority vote among the k nearest training codes of each test code."""
+    train_codes, train_labels, test_codes = _checked(train_codes, train_labels, test_codes)
+    n = train_codes.shape[0]
     if not 1 <= k <= n:
         raise CapacityError(f"k={k} must lie in [1, {n}]")
     num_classes = int(train_labels.max()) + 1
     predictions = []
     for start in range(0, test_codes.shape[0], _CHUNK_ROWS):
-        dists = _sq_dists_to(train_codes, test_codes[start : start + _CHUNK_ROWS])
-        order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        for neighbor_idx in order:
-            votes = np.bincount(train_labels[neighbor_idx], minlength=num_classes)
-            top = votes.max()
-            tied = np.flatnonzero(votes == top)
-            if tied.size == 1:
-                label = int(tied[0])
-            else:
-                tied_set = set(int(t) for t in tied)
-                label = next(int(train_labels[idx]) for idx in neighbor_idx
-                             if int(train_labels[idx]) in tied_set)
-            predictions.append(Prediction(label, float(top)))
+        dists = sq_dists(test_codes[start : start + _CHUNK_ROWS], train_codes)
+        labels = train_labels[nearest(dists, k, np.arange(n))]  # (B, k), nearest first
+        rows = np.arange(labels.shape[0])
+        votes = np.zeros((rows.size, num_classes), dtype=np.int64)
+        np.add.at(votes, (rows[:, None], labels), 1)
+        counts = votes[rows[:, None], labels]  # the votes of each neighbor's class
+        first = counts.argmax(axis=1)  # nearest neighbor among the top-voted classes
+        predictions += map(Prediction, labels[rows, first].tolist(),
+                           counts[rows, first].astype(np.float64).tolist())
     return predictions
 
 
 def energy_predict(train_codes: np.ndarray, train_labels: np.ndarray,
                    test_code: np.ndarray, cfg: NeighborConfig) -> Prediction:
     """Label a single test code by the hypothesized class of lowest energy."""
-    train_codes = np.atleast_2d(np.asarray(train_codes))
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    test_code = np.asarray(test_code).ravel()
-    num_classes = int(train_labels.max()) + 1
-    if num_classes < 2:
-        raise CapacityError("energy classification needs at least two classes")
-    dists = ((train_codes - test_code) ** 2).sum(axis=1)
-
-    need = max(cfg.k, cfg.m)
-    nearest_per_class = []
-    for cls in range(num_classes):
-        idx = np.flatnonzero(train_labels == cls)
-        if idx.size < need:
-            raise CapacityError(
-                f"class {cls} has {idx.size} training codes; energy mode needs >= {need}"
-            )
-        order = np.argsort(dists[idx], kind="stable")
-        nearest_per_class.append(dists[idx[order]])
-
-    energies = np.empty(num_classes)
-    for hyp in range(num_classes):
-        target_d = nearest_per_class[hyp][: cfg.k]
-        impostor_d = np.concatenate([
-            nearest_per_class[cls][: cfg.m]
-            for cls in range(num_classes) if cls != hyp
-        ])
-        terms = 1.0 + target_d[:, None] - impostor_d[None, :]
-        energies[hyp] = np.maximum(terms, 0.0).sum(dtype=np.float64)
-    label = int(np.argmin(energies))  # argmin takes the smaller class id on ties
-    return Prediction(label, -float(energies[label]))
+    return energy_predict_all(train_codes, train_labels, [np.ravel(test_code)], cfg)[0]
 
 
 def energy_predict_all(train_codes, train_labels, test_codes,
                        cfg: NeighborConfig) -> list[Prediction]:
-    """energy_predict applied to each row of test_codes."""
-    test_codes = np.atleast_2d(np.asarray(test_codes))
-    return [energy_predict(train_codes, train_labels, row, cfg) for row in test_codes]
+    """Label each row of test_codes by the hypothesized class of lowest energy."""
+    train_codes, train_labels, test_codes = _checked(train_codes, train_labels, test_codes)
+    num_classes = int(train_labels.max()) + 1
+    if num_classes < 2:
+        raise CapacityError("energy classification needs at least two classes")
+    need = max(cfg.k, cfg.m)
+    per_class = [np.flatnonzero(train_labels == cls) for cls in range(num_classes)]
+    for cls, idx in enumerate(per_class):
+        if idx.size < need:
+            raise CapacityError(
+                f"class {cls} has {idx.size} training codes; energy mode needs >= {need}")
+    train_codes, test_codes = train_codes.astype(np.float64), test_codes.astype(np.float64)
+    predictions = []
+    for start in range(0, test_codes.shape[0], _CHUNK_ROWS):
+        dists = sq_dists(test_codes[start : start + _CHUNK_ROWS], train_codes)
+        # (B, c, need): each class's smallest distances, ascending
+        near = np.stack([np.sort(dists[:, i], axis=1)[:, :need] for i in per_class], axis=1)
+        energies = np.empty((near.shape[0], num_classes))
+        for hyp in range(num_classes):
+            target_d = near[:, hyp, : cfg.k]
+            impostor_d = np.delete(near[:, :, : cfg.m], hyp, axis=1).reshape(near.shape[0], -1)
+            terms = 1.0 + target_d[:, :, None] - impostor_d[:, None, :]
+            energies[:, hyp] = np.maximum(terms, 0.0).sum(axis=(1, 2))
+        labels = energies.argmin(axis=1)  # argmin takes the smaller class id on ties
+        predictions += map(Prediction, labels.tolist(),
+                           (-energies[np.arange(labels.size), labels]).tolist())
+    return predictions
 
 
 def error_rate(predictions, true_labels) -> float:

@@ -353,16 +353,16 @@ def _cmd_eval(args) -> int:
     test_codes = encoder.forward(params, test.features)
 
     rows = []
-    knn_preds = None
+    knn_preds = energy_preds = None
     if cfg["mode"] in ("knn", "both"):
         knn_preds = classify.knn_predict(train_codes, train.labels, test_codes, cfg["k"])
         rows.append(("dnet-knn", "test",
                      100.0 * classify.error_rate(knn_preds, test.labels)))
     if cfg["mode"] in ("energy", "both"):
-        preds = classify.energy_predict_all(
+        energy_preds = classify.energy_predict_all(
             train_codes, train.labels, test_codes, NeighborConfig(cfg["k"], cfg["m"]))
         rows.append(("dnet-knn-e", "test",
-                     100.0 * classify.error_rate(preds, test.labels)))
+                     100.0 * classify.error_rate(energy_preds, test.labels)))
     if cfg["baseline"] == "pixels":
         preds = classify.knn_predict(train.features, train.labels,
                                      test.features, cfg["k"])
@@ -378,9 +378,10 @@ def _cmd_eval(args) -> int:
                 f.write("method,split,error_percent\n")
             f.write("\n".join(lines) + "\n")
         _write_manifest(cfg["out"], "eval", cfg)
-    if cfg["dump_predictions"] and knn_preds is not None:
-        classify.save_predictions(cfg["dump_predictions"], knn_preds, test.labels,
-                                  header=cfg["header"])
+    if cfg["dump_predictions"]:  # kNN predictions when kNN ran, else energy ones
+        classify.save_predictions(cfg["dump_predictions"],
+                                  energy_preds if knn_preds is None else knn_preds,
+                                  test.labels, header=cfg["header"])
     return EXIT_OK
 
 

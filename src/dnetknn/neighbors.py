@@ -3,7 +3,8 @@ class impostor neighbors, and the (anchor, target, impostor) triples table.
 
 Neighbors are chosen once in the original feature space by exact squared
 Euclidean distance and are never refreshed while the codes move.  Distance
-ties break toward the smaller index so tables are reproducible.
+ties break toward the smaller index so tables are reproducible; `classify`
+shares that rule through `sq_dists` and `nearest`.
 
 The table stays factored: per anchor, its k targets and its M = m * (c-1)
 impostors, n * (1 + k + M) indices in all.  Its n * k * M rows are that
@@ -77,7 +78,7 @@ class TriplesTable:
         ))
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of a and rows of b."""
     aa = (a * a).sum(axis=1)[:, None]
     bb = (b * b).sum(axis=1)[None, :]
@@ -86,11 +87,12 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
-def _nearest(dists: np.ndarray, count: int, candidates: np.ndarray) -> np.ndarray:
-    """First `count` candidate indices per row by (distance, index).
+def nearest(dists: np.ndarray, count: int, candidates: np.ndarray) -> np.ndarray:
+    """First `count` candidates per row, nearest first by (distance, index).
 
-    `candidates` must be ascending so that a stable sort on distance breaks
-    ties toward the smaller global index.
+    Column j of `dists` is the distance to `candidates[j]`, and `candidates`
+    must be ascending so that a stable sort on distance breaks ties toward
+    the smaller global index.
     """
     order = np.argsort(dists, axis=1, kind="stable")[:, :count]
     return candidates[order]
@@ -109,9 +111,9 @@ def target_neighbors(train: Dataset, k: int) -> np.ndarray:
             raise CapacityError(
                 f"class {cls} has {idx.size} members; target neighbors need >= {k + 1}"
             )
-        d = _sq_dists(train.features[idx], train.features[idx])
+        d = sq_dists(train.features[idx], train.features[idx])
         np.fill_diagonal(d, np.inf)
-        out[idx] = np.sort(_nearest(d, k, idx), axis=1)
+        out[idx] = np.sort(nearest(d, k, idx), axis=1)
     return out
 
 
@@ -142,8 +144,8 @@ def impostor_neighbors(train: Dataset, m: int) -> np.ndarray:
             if foreign_cls == anchor_cls:
                 continue
             f_idx = per_class[foreign_cls]
-            d = _sq_dists(train.features[a_idx], train.features[f_idx])
-            blocks.append(_nearest(d, m, f_idx))
+            d = sq_dists(train.features[a_idx], train.features[f_idx])
+            blocks.append(nearest(d, m, f_idx))
         out[a_idx] = np.sort(np.concatenate(blocks, axis=1), axis=1)
     return out
 

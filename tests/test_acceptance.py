@@ -239,6 +239,7 @@ def test_criterion_3_rbm_oracle():
 # 4. desk-scale classification
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_desk_scale_classification(desk_run):
     ok = (desk_run["err_dnet"] < desk_run["err_pixels"]
           and desk_run["err_dnet"] < desk_run["err_pretrained"]
@@ -253,6 +254,7 @@ def test_criterion_4_desk_scale_classification(desk_run):
 # 5. pretraining effect
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_pretraining_effect(desk_run):
     train = desk_run["train"]
     wins = 0
@@ -285,6 +287,7 @@ def test_criterion_5_pretraining_effect(desk_run):
 # 6. training-error collapse
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_training_error_collapse():
     arch = (256, 500, 500, 2000, 30)
     train = make_digits(per_class=100, side=16, seed=606)
@@ -302,6 +305,7 @@ def test_criterion_6_training_error_collapse():
 # 7. energy-classifier sanity
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_energy_classifier(desk_run):
     preds = classify.energy_predict_all(
         desk_run["dnet_train_codes"], desk_run["train"].labels,

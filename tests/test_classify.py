@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dnetknn.classify import (
+    _CHUNK_ROWS,
     Prediction,
     energy_predict,
     energy_predict_all,
@@ -9,8 +10,10 @@ from dnetknn.classify import (
     knn_predict,
     save_predictions,
 )
-from dnetknn.errors import CapacityError, ConsistencyError
+from dnetknn.errors import CapacityError, ConsistencyError, DimensionError
 from dnetknn.neighbors import NeighborConfig
+
+from test_neighbors import integer_dataset
 
 
 def oracle_knn(train_codes, train_labels, test_code, k):
@@ -78,9 +81,17 @@ class TestKnnPredict:
         train = rng.random((50, 4))
         labels = rng.integers(0, 3, size=50)
         test = rng.random((20, 4))
-        preds = knn_predict(train, labels, test, k)
-        for point, pred in zip(test, preds):
-            assert pred.label == oracle_knn(train, labels, point, k)
+        cases = [(train, labels, test),
+                 (train, labels, rng.random((_CHUNK_ROWS + 45, 4)))]  # two chunks
+        for _ in range(3):  # integer grid: many exact distance ties
+            data = integer_dataset(rng)
+            grid_test = rng.integers(0, 12, size=(30, data.features.shape[1]))
+            cases.append((data.features, data.labels, grid_test.astype(np.float64)))
+        for train, labels, test in cases:
+            preds = knn_predict(train, labels, test, k)
+            assert len(preds) == len(test)
+            for point, pred in zip(test, preds):
+                assert pred.label == oracle_knn(train, labels, point, k)
 
     def test_distance_tie_breaks_to_smaller_index(self):
         train = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
@@ -144,6 +155,20 @@ class TestEnergyPredict:
             want_label, want_energies = oracle_energy(train, labels, point, 3, 4)
             assert pred.label == want_label
             assert -pred.score == pytest.approx(want_energies[want_label], rel=1e-10)
+        cases = [(train, labels, rng.standard_normal((_CHUNK_ROWS + 45, 3))),  # two chunks
+                 (train.astype(np.float32), labels,
+                  rng.standard_normal((20, 3)).astype(np.float32))]
+        for _ in range(3):  # integer grid: many exact distance ties
+            data = integer_dataset(rng, n_range=(40, 60))
+            grid_test = rng.integers(0, 12, size=(20, data.features.shape[1]))
+            cases.append((data.features, data.labels, grid_test.astype(np.float64)))
+        for train, labels, test in cases:
+            preds = energy_predict_all(train, labels, test, cfg)
+            assert len(preds) == len(test)
+            for point, pred in zip(test, preds):
+                want_label, want_energies = oracle_energy(train, labels, point, 3, 4)
+                assert pred.label == want_label
+                assert -pred.score == pytest.approx(want_energies[want_label], rel=1e-10)
 
     def test_capacity_per_class(self):
         train = np.zeros((4, 2))
@@ -170,6 +195,23 @@ class TestEnergyPredict:
         pred = energy_predict(train, labels, np.zeros(2), NeighborConfig(k=2, m=3))
         assert pred.label == 0  # three-way tie -> smallest class id
         assert -pred.score == 2 * 3 * (3 - 1)
+
+
+@pytest.mark.parametrize("predict", [
+    lambda train, labels, test: knn_predict(train, labels, test, 1),
+    lambda train, labels, test: energy_predict_all(train, labels, test, NeighborConfig(1, 1)),
+], ids=["knn", "energy"])
+@pytest.mark.parametrize("n_train, labels, width, error", [
+    (0, [], 3, CapacityError),
+    (20, np.arange(14) % 2, 3, ConsistencyError),
+    (20, np.arange(40) % 2, 3, ConsistencyError),
+    (20, np.arange(20) % 2 - 1, 3, ConsistencyError),
+    (20, np.arange(20) % 2, 4, DimensionError),
+], ids=["empty", "few-labels", "many-labels", "negative-label", "width"])
+def test_classifiers_check_inputs(predict, n_train, labels, width, error):
+    train = np.random.default_rng(55).standard_normal((n_train, 3))
+    with pytest.raises(error):
+        predict(train, labels, np.zeros((2, width)))
 
 
 class TestErrorRate:

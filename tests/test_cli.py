@@ -205,6 +205,25 @@ class TestEval:
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
+    def test_energy_only_dumps_energy_predictions(self, digit_files, finetuned, tmp_path,
+                                                  capsys):
+        dump = tmp_path / "preds.csv"
+        code = main([
+            "eval",
+            "--train-csv", str(digit_files / "train.csv"),
+            "--test-csv", str(digit_files / "test.csv"),
+            "--model", str(finetuned),
+            "--mode", "energy", "--k", "2", "--m", "2",
+            "--dump-predictions", str(dump),
+        ])
+        assert code == 0
+        pct = float(capsys.readouterr().out.strip().split(",")[2])
+        rows = [line.split(",") for line in dump.read_text().splitlines()]
+        assert [int(r[0]) for r in rows] == list(range(40))  # 4 test digits per class
+        assert all(float(r[3]) <= 0.0 for r in rows)  # the negative energy
+        wrong = sum(r[1] != r[2] for r in rows)
+        assert pct == pytest.approx(100.0 * wrong / len(rows))
+
     def test_dim_mismatch_exits_2(self, digit_files, finetuned, tmp_path):
         wrong = make_digits(per_class=4, side=6, seed=1)  # 36 dims
         save_csv(wrong, tmp_path / "wrong.csv")
