@@ -6,11 +6,14 @@ checkpoint or a random start), ``eval`` (kNN / energy error rates),
 ``embed`` (dump code vectors as CSV), and ``split`` (materialize per-class
 train/test CSV fixtures).
 
-Configuration precedence: command-line flags beat a ``--config`` file
-(line-based ``key = value``, keys matching the long flag names with
-underscores) which beats built-in defaults.  Every run writes a
-``<output>.manifest`` file recording the resolved values, inputs, and
-outputs, so any run can be reproduced from its manifest alone.
+Each option is declared once in ``_OPTIONS`` (converter, default, choices,
+help), each subcommand once in ``_COMMANDS`` (handler, help, its options and
+the required ones); they drive the argparse flags, the config-file keys and
+``_resolve``, which converts and checks flag and file values alike.
+Precedence: flags beat a ``--config`` file (line-based ``key = value``, keys
+being the command's option names) which beats built-in defaults.  Every run
+writes a ``<output>.manifest`` file recording the resolved values, inputs,
+and outputs, so any run can be reproduced from its manifest alone.
 
 Exit codes: 0 ok, 2 configuration error, 3 io/data error, 4 numerical
 divergence.
@@ -25,6 +28,7 @@ import argparse
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .errors import (
     CapacityError,
@@ -41,77 +45,77 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _int(text: str) -> int:
-    return int(text)
-
-
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _str(text: str) -> str:
-    return text
-
-
 def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _layers(text: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"layer spec {text!r} must be comma-separated integers")
+    sizes = tuple(int(part) for part in text.split(","))
     if len(sizes) < 2:
-        raise ConfigError("layer spec needs at least two sizes")
+        raise ValueError("a layer spec needs at least two sizes")
     return sizes
 
 
-# dest -> (converter, default); shared across commands that use the key
-_OPTION_TYPES = {
-    "train_images": (_str, None),
-    "train_labels": (_str, None),
-    "train_csv": (_str, None),
-    "test_images": (_str, None),
-    "test_labels": (_str, None),
-    "test_csv": (_str, None),
-    "csv": (_str, None),
-    "layers": (_layers, None),
-    "epochs": (_int, 10),
-    "lr": (_float, 0.1),
-    "momentum": (_float, 0.9),
-    "initial_momentum": (_float, 0.5),
-    "weight_decay": (_float, 2e-4),
-    "mini_batch": (_int, 100),
-    "seed": (_int, None),
-    "out": (_str, None),
-    "init": (_str, None),
-    "k": (_int, 5),
-    "m": (_int, 30),
-    "batch": (_int, 10000),
-    "cg_iters": (_int, 3),
-    "dtype": (_str, "float64"),
-    "report": (_str, None),
-    "model": (_str, None),
-    "mode": (_str, "both"),
-    "baseline": (_str, None),
-    "dump_predictions": (_str, None),
-    "style": (_str, "fixed"),
-    "per_class_train": (_int, 800),
-    "per_class_test": (_int, 300),
-    "out_train": (_str, None),
-    "out_test": (_str, None),
-    "header": (_bool, False),
+class Option(NamedTuple):
+    """How one option's text becomes a value; a ``_bool`` option is a bare flag."""
+
+    convert: Callable = str
+    default: object = None
+    choices: tuple = ()
+    help: str | None = None
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    options: tuple
+    required: tuple = ()
+
+
+_OPTIONS = {
+    "train_images": Option(help="IDX image file"),
+    "train_labels": Option(help="IDX label file"),
+    "train_csv": Option(help="CSV fallback (label,features...)"),
+    "test_images": Option(help="IDX test image file"),
+    "test_labels": Option(help="IDX test label file"),
+    "test_csv": Option(help="test CSV fallback (label,features...)"),
+    "csv": Option(help="input CSV (label,features...)"),
+    "layers": Option(_layers, help="comma-separated widths, e.g. 784,500,500,2000,30"),
+    "epochs": Option(int, 10),
+    "lr": Option(float, 0.1),
+    "momentum": Option(float, 0.9),
+    "initial_momentum": Option(float, 0.5),
+    "weight_decay": Option(float, 2e-4),
+    "mini_batch": Option(int, 100),
+    "seed": Option(int),
+    "out": Option(help="output path (checkpoint, eval rows or embedding CSV)"),
+    "init": Option(help="checkpoint path, or 'random' (then --layers is required)"),
+    "k": Option(int, 5),
+    "m": Option(int, 30),
+    "batch": Option(int, 10000),
+    "cg_iters": Option(int, 3),
+    "dtype": Option(str, "float64"),
+    "report": Option(help="per-epoch report path (default <out>.report.csv)"),
+    "model": Option(help="encoder checkpoint"),
+    "mode": Option(str, "both", ("knn", "energy", "both")),
+    "baseline": Option(choices=("pixels",), help="also report raw-pixel kNN error"),
+    "dump_predictions": Option(help="write per-point prediction CSV here"),
+    "style": Option(str, "fixed", ("fixed", "random")),
+    "per_class_train": Option(int, 800),
+    "per_class_test": Option(int, 300),
+    "out_train": Option(),
+    "out_test": Option(),
+    "header": Option(_bool, False),
 }
 
-# allowed values of the keys that take one of a fixed set
-_CHOICES = {"mode": ("knn", "energy", "both"), "baseline": ("pixels",),
-            "style": ("fixed", "random")}
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,70 +127,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int,
                         help="cap BLAS/OpenMP worker threads for this process")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_train_data(p):
-        p.add_argument("--train-images", help="IDX image file")
-        p.add_argument("--train-labels", help="IDX label file")
-        p.add_argument("--train-csv", help="CSV fallback (label,features...)")
-
-    def add_test_data(p):
-        p.add_argument("--test-images")
-        p.add_argument("--test-labels")
-        p.add_argument("--test-csv")
-
-    p = sub.add_parser("pretrain", help="greedy layer-wise pretraining")
-    add_train_data(p)
-    p.add_argument("--layers", help="comma-separated widths, e.g. 784,500,500,2000,30")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--initial-momentum", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--mini-batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="checkpoint output path")
-
-    p = sub.add_parser("finetune", help="margin fine-tuning of an encoder")
-    add_train_data(p)
-    p.add_argument("--init", help="checkpoint path, or 'random'")
-    p.add_argument("--layers", help="required with --init random")
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--cg-iters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dtype")
-    p.add_argument("--out", help="checkpoint output path")
-    p.add_argument("--report", help="per-epoch report path (default <out>.report.csv)")
-
-    p = sub.add_parser("eval", help="error rates of a trained encoder")
-    add_train_data(p)
-    add_test_data(p)
-    p.add_argument("--model", help="encoder checkpoint")
-    p.add_argument("--mode", choices=_CHOICES["mode"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--baseline", choices=_CHOICES["baseline"],
-                   help="also report raw-pixel kNN error")
-    p.add_argument("--out", help="write method,split,error_percent rows here")
-    p.add_argument("--dump-predictions", help="write per-point prediction CSV here")
-    p.add_argument("--header", action="store_true", default=None)
-
-    p = sub.add_parser("embed", help="dump code vectors as CSV")
-    add_train_data(p)
-    p.add_argument("--model", help="encoder checkpoint")
-    p.add_argument("--out", help="embedding CSV path")
-    p.add_argument("--header", action="store_true", default=None)
-
-    p = sub.add_parser("split", help="materialize per-class train/test CSV fixtures")
-    p.add_argument("--csv", help="input CSV (label,features...)")
-    p.add_argument("--style", choices=_CHOICES["style"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--per-class-train", type=int)
-    p.add_argument("--per-class-test", type=int)
-    p.add_argument("--out-train")
-    p.add_argument("--out-test")
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name in spec.options:
+            option = _OPTIONS[name]
+            if option.convert is _bool:
+                # a bare flag, resolved like the file value "true"
+                p.add_argument(_flag(name), action="store_const", const="true",
+                               help=option.help)
+            else:
+                metavar = "{%s}" % ",".join(option.choices) if option.choices else None
+                p.add_argument(_flag(name), metavar=metavar, help=option.help)
     return parser
 
 
@@ -204,35 +155,41 @@ def _read_config_file(path) -> dict[str, str]:
     return entries
 
 
-def _resolve(args, keys: list[str]) -> dict:
-    """Merge CLI flags over config-file entries over defaults for the keys."""
+def _convert(name: str, text: str):
+    option = _OPTIONS[name]
+    try:
+        value = option.convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value {text!r} for {_flag(name)}: {exc}") from None
+    if option.choices and value not in option.choices:
+        raise ConfigError(f"{_flag(name)} must be one of {', '.join(option.choices)}, "
+                          f"got {value!r}")
+    return value
+
+
+def _resolve(args) -> dict:
+    """The command's options: flag over config file over default, required ones set."""
+    spec = _COMMANDS[args.command]
     file_cfg = _read_config_file(args.config) if args.config else {}
     # manifests are valid config files; their provenance keys carry no options
-    file_cfg.pop("command", None)
-    file_cfg.pop("timestamp", None)
-    unknown = set(file_cfg) - set(_OPTION_TYPES)
+    unknown = set(file_cfg) - set(spec.options) - {"command", "timestamp"}
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved = {}
-    for key in keys:
-        convert, default = _OPTION_TYPES[key]
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = convert(cli_value) if isinstance(cli_value, str) else cli_value
-        elif key in file_cfg:
-            resolved[key] = convert(file_cfg[key])
-            # argparse checks choices on flags only
-            if key in _CHOICES and resolved[key] not in _CHOICES[key]:
-                raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, "
-                                  f"got {resolved[key]!r}")
-        else:
-            resolved[key] = default
-    return resolved
+        raise ConfigError(f"config keys that {args.command} does not take: "
+                          f"{', '.join(sorted(unknown))}")
+    cfg = {}
+    for name in spec.options:
+        text = getattr(args, name)
+        if text is None:
+            text = file_cfg.get(name)
+        cfg[name] = _OPTIONS[name].default if text is None else _convert(name, text)
+    for name in spec.required:
+        _require(cfg, name)
+    return cfg
 
 
 def _require(cfg: dict, key: str):
     if cfg[key] is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+        raise ConfigError(f"missing required option {_flag(key)}")
     return cfg[key]
 
 
@@ -268,13 +225,7 @@ def _write_manifest(out_path, command: str, cfg: dict) -> str:
     return path
 
 
-def _cmd_pretrain(args) -> int:
-    keys = ["train_images", "train_labels", "train_csv", "layers", "epochs", "lr",
-            "momentum", "initial_momentum", "weight_decay", "mini_batch", "seed",
-            "out"]
-    cfg = _resolve(args, keys)
-    _require(cfg, "layers")
-    _require(cfg, "out")
+def _cmd_pretrain(cfg: dict) -> int:
     if cfg["seed"] is None:
         cfg["seed"] = 0
     from . import encoder, rbm
@@ -297,22 +248,19 @@ def _cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _cmd_finetune(args) -> int:
-    keys = ["train_images", "train_labels", "train_csv", "init", "layers", "k", "m",
-            "batch", "epochs", "cg_iters", "seed", "dtype", "out", "report"]
-    cfg = _resolve(args, keys)
-    _require(cfg, "init")
-    _require(cfg, "out")
+def _cmd_finetune(cfg: dict) -> int:
     if cfg["seed"] is None:
         cfg["seed"] = 0
     from . import encoder, trainer
 
-    data = _load_split(cfg, "train")
     if cfg["init"] == "random":
-        layers = _require(cfg, "layers")
-        init_params = encoder.init_encoder(layers, seed=cfg["seed"])
+        init_params = encoder.init_encoder(_require(cfg, "layers"), seed=cfg["seed"])
     else:
         init_params = encoder.load_checkpoint(cfg["init"])
+        if cfg["layers"] is not None and cfg["layers"] != init_params.widths:
+            raise ConfigError(f"--layers {cfg['layers']} differs from the widths "
+                              f"{init_params.widths} of {cfg['init']}")
+    data = _load_split(cfg, "train")
     train_cfg = trainer.TrainConfig(
         layer_sizes=init_params.widths,
         k=cfg["k"],
@@ -327,7 +275,6 @@ def _cmd_finetune(args) -> int:
     params, report = trainer.finetune(data, train_cfg, init_params)
     encoder.save_checkpoint(params.astype("float64"), cfg["out"])
     report_path = cfg["report"] or (str(cfg["out"]) + ".report.csv")
-    report.checkpoint_path = str(cfg["out"])
     report.save(report_path)
     cfg["report"] = report_path
     manifest = _write_manifest(cfg["out"], "finetune", cfg)
@@ -337,15 +284,12 @@ def _cmd_finetune(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    keys = ["train_images", "train_labels", "train_csv", "test_images",
-            "test_labels", "test_csv", "model", "mode", "k", "m", "baseline",
-            "out", "dump_predictions", "header"]
-    cfg = _resolve(args, keys)
-    _require(cfg, "model")
+def _cmd_eval(cfg: dict) -> int:
     from . import classify, encoder
     from .neighbors import NeighborConfig
 
+    # checks k, m >= 1 for every mode before any data is read
+    neighbor_cfg = NeighborConfig(cfg["k"], cfg["m"])
     train = _load_split(cfg, "train")
     test = _load_split(cfg, "test")
     params = encoder.load_checkpoint(cfg["model"])
@@ -360,7 +304,7 @@ def _cmd_eval(args) -> int:
                      100.0 * classify.error_rate(knn_preds, test.labels)))
     if cfg["mode"] in ("energy", "both"):
         energy_preds = classify.energy_predict_all(
-            train_codes, train.labels, test_codes, NeighborConfig(cfg["k"], cfg["m"]))
+            train_codes, train.labels, test_codes, neighbor_cfg)
         rows.append(("dnet-knn-e", "test",
                      100.0 * classify.error_rate(energy_preds, test.labels)))
     if cfg["baseline"] == "pixels":
@@ -385,11 +329,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_embed(args) -> int:
-    keys = ["train_images", "train_labels", "train_csv", "model", "out", "header"]
-    cfg = _resolve(args, keys)
-    _require(cfg, "model")
-    _require(cfg, "out")
+def _cmd_embed(cfg: dict) -> int:
     from . import encoder
 
     data = _load_split(cfg, "train")
@@ -406,13 +346,7 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _cmd_split(args) -> int:
-    keys = ["csv", "style", "seed", "per_class_train", "per_class_test",
-            "out_train", "out_test"]
-    cfg = _resolve(args, keys)
-    _require(cfg, "csv")
-    _require(cfg, "out_train")
-    _require(cfg, "out_test")
+def _cmd_split(cfg: dict) -> int:
     if cfg["style"] == "random" and cfg["seed"] is None:
         raise ConfigError("--style random requires --seed")
     from . import dataset
@@ -432,12 +366,23 @@ def _cmd_split(args) -> int:
     return EXIT_OK
 
 
+_TRAIN_DATA = ("train_images", "train_labels", "train_csv")
+
 _COMMANDS = {
-    "pretrain": _cmd_pretrain,
-    "finetune": _cmd_finetune,
-    "eval": _cmd_eval,
-    "embed": _cmd_embed,
-    "split": _cmd_split,
+    "pretrain": Command(_cmd_pretrain, "greedy layer-wise pretraining", _TRAIN_DATA + (
+        "layers", "epochs", "lr", "momentum", "initial_momentum", "weight_decay",
+        "mini_batch", "seed", "out"), required=("layers", "out")),
+    "finetune": Command(_cmd_finetune, "margin fine-tuning of an encoder", _TRAIN_DATA + (
+        "init", "layers", "k", "m", "batch", "epochs", "cg_iters", "seed", "dtype",
+        "out", "report"), required=("init", "out")),
+    "eval": Command(_cmd_eval, "error rates of a trained encoder", _TRAIN_DATA + (
+        "test_images", "test_labels", "test_csv", "model", "mode", "k", "m",
+        "baseline", "out", "dump_predictions", "header"), required=("model",)),
+    "embed": Command(_cmd_embed, "dump code vectors as CSV",
+                     _TRAIN_DATA + ("model", "out", "header"), required=("model", "out")),
+    "split": Command(_cmd_split, "materialize per-class train/test CSV fixtures", (
+        "csv", "style", "seed", "per_class_train", "per_class_test", "out_train",
+        "out_test"), required=("csv", "out_train", "out_test")),
 }
 
 
@@ -455,7 +400,7 @@ def main(argv=None) -> int:
                     "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].handler(_resolve(args))
     except (ConfigError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -98,15 +98,6 @@ class Dataset:
         return np.flatnonzero(self.labels == label)
 
 
-def _read_exact(f, n: int, path, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ConsistencyError(
-            f"{path}: truncated while reading {what} (wanted {n} bytes, got {len(buf)})"
-        )
-    return buf
-
-
 def load_idx(images_path, labels_path) -> Dataset:
     """Read an IDX image/label file pair into a Dataset.
 

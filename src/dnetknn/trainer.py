@@ -84,7 +84,6 @@ class TrainReport:
     """Per-epoch training trajectory; one line per epoch when serialized."""
 
     epochs: list[EpochStats] = field(default_factory=list)
-    checkpoint_path: str | None = None
 
     @property
     def losses(self) -> list[float]:

@@ -128,9 +128,10 @@ class TestFinetune:
         assert "k = 2" in manifest  # from the file
         assert "m = 2" in manifest  # from the flag
 
-    def test_unknown_config_key_exits_2(self, digit_files, tmp_path):
+    @pytest.mark.parametrize("entry", ["mystery = 4", "mode = knn"])  # mode is eval's
+    def test_unknown_config_key_exits_2(self, digit_files, tmp_path, entry, capsys):
         config = tmp_path / "bad.cfg"
-        config.write_text("mystery = 4\n")
+        config.write_text(f"{entry}\n")
         code = main([
             "--config", str(config),
             "finetune", "--train-csv", str(digit_files / "train.csv"),
@@ -138,7 +139,19 @@ class TestFinetune:
             "--out", str(tmp_path / "o.dnkn"),
         ])
         assert code == 2
+        assert entry.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "o.dnkn").exists()
 
+    def test_layers_other_than_checkpoint_widths_exits_2(self, digit_files, pretrained,
+                                                          tmp_path, capsys):
+        code = main([
+            "finetune", "--train-csv", str(digit_files / "train.csv"),
+            "--init", str(pretrained), "--layers", "64,4",  # the checkpoint is 64,16,8,4
+            "--epochs", "1", "--out", str(tmp_path / "o.dnkn"),
+        ])
+        assert code == 2
+        assert "--layers" in capsys.readouterr().err
+        assert not (tmp_path / "o.dnkn").exists()
 
     @pytest.mark.parametrize("dtype", ["int32", "complex128"])
     def test_non_floating_dtype_exits_2(self, digit_files, tmp_path, dtype):
@@ -155,6 +168,8 @@ class TestFinetune:
     ("eval", "mode = bogus"),
     ("eval", "baseline = nonsense"),
     ("split", "style = shuffled"),
+    ("eval", "k = two"),
+    ("split", "per-class-train = many"),
 ])
 def test_config_file_value_outside_choices_exits_2(digit_files, finetuned, tmp_path,
                                                     command, entry, capsys):
@@ -224,6 +239,20 @@ class TestEval:
         wrong = sum(r[1] != r[2] for r in rows)
         assert pct == pytest.approx(100.0 * wrong / len(rows))
 
+    @pytest.mark.parametrize("mode, key", [("knn", "k"), ("energy", "k"), ("both", "k"),
+                                           ("knn", "m")])
+    def test_k_or_m_below_one_exits_2_before_reading_data(self, tmp_path, mode, key,
+                                                          capsys):
+        code = main([
+            "eval",
+            "--train-csv", str(tmp_path / "absent-train.csv"),
+            "--test-csv", str(tmp_path / "absent-test.csv"),
+            "--model", str(tmp_path / "absent.dnkn"),
+            "--mode", mode, f"--{key}", "0",
+        ])
+        assert code == 2  # a missing file would exit 3
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+
     def test_dim_mismatch_exits_2(self, digit_files, finetuned, tmp_path):
         wrong = make_digits(per_class=4, side=6, seed=1)  # 36 dims
         save_csv(wrong, tmp_path / "wrong.csv")
@@ -292,24 +321,6 @@ class TestSplit:
         assert (tmp_path / "a_tr.csv").read_bytes() == (tmp_path / "b_tr.csv").read_bytes()
         assert (tmp_path / "a_te.csv").read_bytes() == (tmp_path / "b_te.csv").read_bytes()
 
-    def test_rerun_from_manifest_reproduces_outputs(self, digit_files, tmp_path):
-        args = [
-            "split", "--csv", str(digit_files / "train.csv"),
-            "--style", "random", "--seed", "11",
-            "--per-class-train", "4", "--per-class-test", "2",
-            "--out-train", str(tmp_path / "tr.csv"),
-            "--out-test", str(tmp_path / "te.csv"),
-        ]
-        assert main(args) == 0
-        first_train = (tmp_path / "tr.csv").read_bytes()
-        first_test = (tmp_path / "te.csv").read_bytes()
-        manifest = tmp_path / "tr.csv.manifest"
-        (tmp_path / "tr.csv").unlink()
-        (tmp_path / "te.csv").unlink()
-        assert main(["--config", str(manifest), "split"]) == 0
-        assert (tmp_path / "tr.csv").read_bytes() == first_train
-        assert (tmp_path / "te.csv").read_bytes() == first_test
-
     def test_random_without_seed_exits_2(self, digit_files, tmp_path):
         code = main([
             "split", "--csv", str(digit_files / "train.csv"),
@@ -319,6 +330,30 @@ class TestSplit:
             "--out-test", str(tmp_path / "te.csv"),
         ])
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["split", "pretrain", "finetune"])
+def test_rerun_from_manifest_reproduces_outputs(digit_files, tmp_path, command):
+    train_csv = str(digit_files / "train.csv")
+    model = ["--layers", "64,8,4", "--epochs", "2", "--seed", "11",
+             "--out", str(tmp_path / "o.dnkn")]
+    args, outputs = {
+        "split": (["--csv", train_csv, "--style", "random", "--seed", "11",
+                   "--per-class-train", "4", "--per-class-test", "2",
+                   "--out-train", str(tmp_path / "tr.csv"),
+                   "--out-test", str(tmp_path / "te.csv")], ["tr.csv", "te.csv"]),
+        "pretrain": (["--train-csv", train_csv, "--mini-batch", "20", *model], ["o.dnkn"]),
+        # the report is not compared: its seconds column varies between runs
+        "finetune": (["--train-csv", train_csv, "--init", "random", "--k", "2", "--m", "1",
+                      "--cg-iters", "2", *model], ["o.dnkn"]),
+    }[command]
+    assert main([command, *args]) == 0
+    first = {name: (tmp_path / name).read_bytes() for name in outputs}
+    for name in outputs:
+        (tmp_path / name).unlink()
+    manifest = tmp_path / (outputs[0] + ".manifest")
+    assert main(["--config", str(manifest), command]) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in outputs} == first
 
 
 def test_usage_error_exits_2():
