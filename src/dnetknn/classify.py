@@ -96,7 +96,8 @@ def energy_predict_all(train_codes, train_labels, test_codes,
     for start in range(0, test_codes.shape[0], _CHUNK_ROWS):
         dists = sq_dists(test_codes[start : start + _CHUNK_ROWS], train_codes)
         # (B, c, need): each class's smallest distances, ascending
-        near = np.stack([np.sort(dists[:, i], axis=1)[:, :need] for i in per_class], axis=1)
+        near = np.stack([np.sort(np.partition(dists[:, i], need - 1, axis=1)[:, :need], axis=1)
+                         for i in per_class], axis=1)
         energies = np.empty((near.shape[0], num_classes))
         for hyp in range(num_classes):
             target_d = near[:, hyp, : cfg.k]

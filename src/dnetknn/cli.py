@@ -12,8 +12,11 @@ the required ones); they drive the argparse flags, the config-file keys and
 ``_resolve``, which converts and checks flag and file values alike.
 Precedence: flags beat a ``--config`` file (line-based ``key = value``, keys
 being the command's option names) which beats built-in defaults.  Every run
-writes a ``<output>.manifest`` file recording the resolved values, inputs,
-and outputs, so any run can be reproduced from its manifest alone.
+that writes a file writes a ``<output>.manifest`` beside its first output
+(for ``eval``: ``--out``, else ``--dump-predictions``; an ``eval`` that only
+prints writes none).  It records the resolved values, with paths made
+absolute, so any run can be reproduced from its manifest alone, from any
+working directory.
 
 Exit codes: 0 ok, 2 configuration error, 3 io/data error, 4 numerical
 divergence.
@@ -54,6 +57,14 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# absolute, so that a manifest reruns from any working directory
+_path = os.path.abspath
+
+
+def _init(text: str) -> str:
+    return text if text == "random" else _path(text)
+
+
 def _layers(text: str) -> tuple[int, ...]:
     sizes = tuple(int(part) for part in text.split(","))
     if len(sizes) < 2:
@@ -78,13 +89,13 @@ class Command(NamedTuple):
 
 
 _OPTIONS = {
-    "train_images": Option(help="IDX image file"),
-    "train_labels": Option(help="IDX label file"),
-    "train_csv": Option(help="CSV fallback (label,features...)"),
-    "test_images": Option(help="IDX test image file"),
-    "test_labels": Option(help="IDX test label file"),
-    "test_csv": Option(help="test CSV fallback (label,features...)"),
-    "csv": Option(help="input CSV (label,features...)"),
+    "train_images": Option(_path, help="IDX image file"),
+    "train_labels": Option(_path, help="IDX label file"),
+    "train_csv": Option(_path, help="CSV fallback (label,features...)"),
+    "test_images": Option(_path, help="IDX test image file"),
+    "test_labels": Option(_path, help="IDX test label file"),
+    "test_csv": Option(_path, help="test CSV fallback (label,features...)"),
+    "csv": Option(_path, help="input CSV (label,features...)"),
     "layers": Option(_layers, help="comma-separated widths, e.g. 784,500,500,2000,30"),
     "epochs": Option(int, 10),
     "lr": Option(float, 0.1),
@@ -93,23 +104,23 @@ _OPTIONS = {
     "weight_decay": Option(float, 2e-4),
     "mini_batch": Option(int, 100),
     "seed": Option(int),
-    "out": Option(help="output path (checkpoint, eval rows or embedding CSV)"),
-    "init": Option(help="checkpoint path, or 'random' (then --layers is required)"),
+    "out": Option(_path, help="output path (checkpoint, eval rows or embedding CSV)"),
+    "init": Option(_init, help="checkpoint path, or 'random' (then --layers is required)"),
     "k": Option(int, 5),
     "m": Option(int, 30),
     "batch": Option(int, 10000),
     "cg_iters": Option(int, 3),
     "dtype": Option(str, "float64"),
-    "report": Option(help="per-epoch report path (default <out>.report.csv)"),
-    "model": Option(help="encoder checkpoint"),
+    "report": Option(_path, help="per-epoch report path (default <out>.report.csv)"),
+    "model": Option(_path, help="encoder checkpoint"),
     "mode": Option(str, "both", ("knn", "energy", "both")),
     "baseline": Option(choices=("pixels",), help="also report raw-pixel kNN error"),
-    "dump_predictions": Option(help="write per-point prediction CSV here"),
+    "dump_predictions": Option(_path, help="write per-point prediction CSV here"),
     "style": Option(str, "fixed", ("fixed", "random")),
     "per_class_train": Option(int, 800),
     "per_class_test": Option(int, 300),
-    "out_train": Option(),
-    "out_test": Option(),
+    "out_train": Option(_path),
+    "out_test": Option(_path),
     "header": Option(_bool, False),
 }
 
@@ -321,11 +332,13 @@ def _cmd_eval(cfg: dict) -> int:
             if cfg["header"]:
                 f.write("method,split,error_percent\n")
             f.write("\n".join(lines) + "\n")
-        _write_manifest(cfg["out"], "eval", cfg)
     if cfg["dump_predictions"]:  # kNN predictions when kNN ran, else energy ones
         classify.save_predictions(cfg["dump_predictions"],
                                   energy_preds if knn_preds is None else knn_preds,
                                   test.labels, header=cfg["header"])
+    written = cfg["out"] or cfg["dump_predictions"]
+    if written:  # beside the first output; a run that writes no file writes none
+        _write_manifest(written, "eval", cfg)
     return EXIT_OK
 
 

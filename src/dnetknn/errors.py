@@ -26,4 +26,5 @@ class DimensionError(DnetKnnError):
 
 
 class DivergenceError(DnetKnnError):
-    """A numerical quantity became non-finite during training."""
+    """A numerical quantity became non-finite: a training loss or gradient, or
+    a distance between finite points."""

@@ -4,7 +4,11 @@ class impostor neighbors, and the (anchor, target, impostor) triples table.
 Neighbors are chosen once in the original feature space by exact squared
 Euclidean distance and are never refreshed while the codes move.  Distance
 ties break toward the smaller index so tables are reproducible; `classify`
-shares that rule through `sq_dists` and `nearest`.
+shares that rule through `sq_dists` and `nearest`.  `nearest` selects
+partially: it finds each row's count-th smallest distance, takes every
+column below it and the tied columns in index order, and sorts only the
+chosen few.  `sq_dists` refuses non-finite distances, so that order is
+never asked of a NaN.
 
 The table stays factored: per anchor, its k targets and its M = m * (c-1)
 impostors, n * (1 + k + M) indices in all.  Its n * k * M rows are that
@@ -18,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, DivergenceError
+
+# distance-block cells per selection step of `nearest`: bounds its temporaries
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,11 +86,19 @@ class TriplesTable:
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between rows of a and rows of b."""
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    d = aa + bb - 2.0 * (a @ b.T)
+    """Pairwise squared Euclidean distances between rows of a and rows of b.
+
+    Raises DivergenceError when a distance is not finite: finite rows whose
+    squares overflow would otherwise rank every neighbor by NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        aa = (a * a).sum(axis=1)[:, None]
+        bb = (b * b).sum(axis=1)[None, :]
+        d = aa + bb - 2.0 * (a @ b.T)
     np.maximum(d, 0.0, out=d)
+    if not np.isfinite(d).all():
+        raise DivergenceError("squared distances overflow: the features or codes "
+                              "are too large to compare")
     return d
 
 
@@ -91,11 +106,30 @@ def nearest(dists: np.ndarray, count: int, candidates: np.ndarray) -> np.ndarray
     """First `count` candidates per row, nearest first by (distance, index).
 
     Column j of `dists` is the distance to `candidates[j]`, and `candidates`
-    must be ascending so that a stable sort on distance breaks ties toward
-    the smaller global index.
+    must be ascending, so ties break toward the smaller global index; `inf`
+    is an ordinary distance, NaN is not allowed, and count may not exceed
+    the column count.  The result equals the first `count` columns of a
+    stable argsort of each row, but only the chosen columns get sorted: a
+    partition finds the count-th smallest distance, every column below it
+    is in, and columns equal to it fill the remaining room in index order.
     """
-    order = np.argsort(dists, axis=1, kind="stable")[:, :count]
-    return candidates[order]
+    rows, cols = dists.shape
+    out = np.empty((rows, count), dtype=candidates.dtype)
+    step = max(1, _CHUNK_CELLS // cols)
+    for start in range(0, rows, step):
+        d = dists[start : start + step]
+        bound = np.partition(d, count - 1, axis=1)[:, count - 1 : count]
+        chosen = d <= bound
+        over = np.count_nonzero(chosen, axis=1) - count  # ties past the room
+        tied = np.flatnonzero(over)
+        if tied.size:
+            ties = d[tied] == bound[tied]
+            room = ties.sum(axis=1, keepdims=True) - over[tied, None]
+            chosen[tied] &= ~ties | (np.cumsum(ties, axis=1) <= room)
+        picked = np.nonzero(chosen)[1].reshape(-1, count)  # ascending per row
+        order = np.argsort(np.take_along_axis(d, picked, axis=1), axis=1, kind="stable")
+        out[start : start + step] = candidates[np.take_along_axis(picked, order, axis=1)]
+    return out
 
 
 def target_neighbors(train: Dataset, k: int) -> np.ndarray:

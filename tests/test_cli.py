@@ -1,8 +1,10 @@
+import shutil
+
 import pytest
 
 from dnetknn.cli import main
 from dnetknn.dataset import load_csv, save_csv, save_idx
-from dnetknn.encoder import load_checkpoint
+from dnetknn.encoder import EncoderParams, Layer, load_checkpoint, save_checkpoint
 
 from _synthetic import make_digits
 
@@ -127,6 +129,7 @@ class TestFinetune:
         manifest = (tmp_path / "c.dnkn.manifest").read_text()
         assert "k = 2" in manifest  # from the file
         assert "m = 2" in manifest  # from the flag
+        assert "init = random" in manifest  # not a path
 
     @pytest.mark.parametrize("entry", ["mystery = 4", "mode = knn"])  # mode is eval's
     def test_unknown_config_key_exits_2(self, digit_files, tmp_path, entry, capsys):
@@ -253,6 +256,45 @@ class TestEval:
         assert code == 2  # a missing file would exit 3
         assert f"{key} must be >= 1" in capsys.readouterr().err
 
+    def test_dump_predictions_alone_writes_manifest(self, digit_files, finetuned,
+                                                    tmp_path):
+        dump = tmp_path / "preds.csv"
+        code = main([
+            "eval",
+            "--train-csv", str(digit_files / "train.csv"),
+            "--test-csv", str(digit_files / "test.csv"),
+            "--model", str(finetuned),
+            "--mode", "knn", "--k", "2",
+            "--dump-predictions", str(dump),
+        ])
+        assert code == 0
+        manifest = tmp_path / "preds.csv.manifest"
+        assert "command = eval" in manifest.read_text()
+        first = dump.read_bytes()
+        dump.unlink()
+        assert main(["--config", str(manifest), "eval"]) == 0
+        assert dump.read_bytes() == first
+
+    @pytest.mark.parametrize("mode", ["knn", "energy"])
+    def test_overflowing_codes_exit_4(self, digit_files, finetuned, tmp_path, mode,
+                                      capsys):
+        # finite weights whose codes are finite, but whose squared distances are not
+        params = load_checkpoint(finetuned)
+        *hidden, last = params.layers
+        scaled = Layer(last.weights * 1e306, last.bias, last.activation)
+        save_checkpoint(EncoderParams((*hidden, scaled)), tmp_path / "huge.dnkn")
+        out = tmp_path / "errors.csv"
+        code = main([
+            "eval",
+            "--train-csv", str(digit_files / "train.csv"),
+            "--test-csv", str(digit_files / "test.csv"),
+            "--model", str(tmp_path / "huge.dnkn"),
+            "--mode", mode, "--k", "2", "--m", "2", "--out", str(out),
+        ])
+        assert code == 4
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dim_mismatch_exits_2(self, digit_files, finetuned, tmp_path):
         wrong = make_digits(per_class=4, side=6, seed=1)  # 36 dims
         save_csv(wrong, tmp_path / "wrong.csv")
@@ -354,6 +396,25 @@ def test_rerun_from_manifest_reproduces_outputs(digit_files, tmp_path, command):
     manifest = tmp_path / (outputs[0] + ".manifest")
     assert main(["--config", str(manifest), command]) == 0
     assert {name: (tmp_path / name).read_bytes() for name in outputs} == first
+
+
+def test_rerun_from_manifest_in_another_directory(digit_files, tmp_path, monkeypatch):
+    shutil.copy(digit_files / "train.csv", tmp_path / "corpus.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["split", "--csv", "corpus.csv", "--style", "random", "--seed", "5",
+                 "--per-class-train", "4", "--per-class-test", "2",
+                 "--out-train", "tr.csv", "--out-test", "te.csv"]) == 0
+    manifest = (tmp_path / "tr.csv.manifest").read_text()
+    assert f"csv = {tmp_path / 'corpus.csv'}" in manifest
+    first = {name: (tmp_path / name).read_bytes() for name in ("tr.csv", "te.csv")}
+    for name in first:
+        (tmp_path / name).unlink()
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["--config", str(tmp_path / "tr.csv.manifest"), "split"]) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in first} == first
+    assert list(elsewhere.iterdir()) == []
 
 
 def test_usage_error_exits_2():

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
+from dnetknn import neighbors
 from dnetknn.dataset import Dataset
-from dnetknn.errors import CapacityError, ConfigError
+from dnetknn.errors import CapacityError, ConfigError, DivergenceError
 from dnetknn.neighbors import (
+    _CHUNK_CELLS,
     NeighborConfig,
     build_triples,
     dump_triples,
     impostor_neighbors,
+    nearest,
+    sq_dists,
     target_neighbors,
 )
+
+
+def oracle_nearest(dists, count, candidates):
+    """Full-row reference: the first `count` columns of a stable argsort."""
+    return candidates[np.argsort(dists, axis=1, kind="stable")[:, :count]]
 
 
 def oracle_target_neighbors(data, k):
@@ -73,6 +82,64 @@ def integer_dataset(rng, n_range=(20, 60), classes_range=(2, 4), dim_range=(2, 6
     ]).astype(np.int64)
     feats = rng.integers(0, grid, size=(n, dim)).astype(np.float64)
     return Dataset(feats, labels, num_classes)
+
+
+class TestNearest:
+    def test_matches_stable_argsort_on_tie_heavy_blocks(self):
+        rng = np.random.default_rng(9)
+        for _ in range(400):
+            rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 25))
+            dists = rng.integers(0, int(rng.integers(1, 5)), size=(rows, cols))
+            dists = dists.astype(np.float64)
+            if rng.random() < 0.5:
+                dists[rng.random((rows, cols)) < 0.3] = np.inf
+            candidates = np.sort(rng.choice(10 * cols, size=cols, replace=False))
+            for count in range(1, cols + 1):
+                np.testing.assert_array_equal(nearest(dists, count, candidates),
+                                              oracle_nearest(dists, count, candidates))
+
+    @pytest.mark.parametrize("dists", [
+        [[2.0, 1.0, 1.0, np.inf, 0.0, 1.0]],  # a single row
+        [[np.inf] * 4, [3.0, np.inf, 3.0, 3.0]],  # all inf; ties beside inf
+        [[5.0] * 6, [0.0] * 6],  # every column tied
+    ])
+    def test_hand_blocks_every_count(self, dists):
+        dists = np.array(dists)
+        candidates = np.array([2, 3, 7, 11, 12, 40])[: dists.shape[1]]
+        for count in range(1, dists.shape[1] + 1):
+            np.testing.assert_array_equal(nearest(dists, count, candidates),
+                                          oracle_nearest(dists, count, candidates))
+
+    def test_blocks_larger_than_one_selection_step(self):
+        rng = np.random.default_rng(10)
+        cols = 1024
+        dists = rng.integers(0, 4, size=(_CHUNK_CELLS // cols * 2 + 37, cols))
+        dists = dists.astype(np.float64)
+        candidates = np.arange(cols) * 3
+        for count in (1, 5, 300, cols):
+            np.testing.assert_array_equal(nearest(dists, count, candidates),
+                                          oracle_nearest(dists, count, candidates))
+
+    def test_overflowing_distances_raise(self):
+        big = np.array([[1e200, 0.0], [0.0, 1e200]])
+        with pytest.raises(DivergenceError, match="overflow"):
+            sq_dists(big, big)
+
+
+def test_tables_match_full_sort_selection(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = []
+    while len(cases) < 10:
+        data = integer_dataset(rng)
+        k, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        counts = np.bincount(data.labels, minlength=data.num_classes)
+        if counts.min() >= max(k + 1, m):
+            cases.append((data, k, m))
+    got = [(target_neighbors(d, k), impostor_neighbors(d, m)) for d, k, m in cases]
+    monkeypatch.setattr(neighbors, "nearest", oracle_nearest)
+    for (data, k, m), (targets, impostors) in zip(cases, got):
+        np.testing.assert_array_equal(targets, target_neighbors(data, k))
+        np.testing.assert_array_equal(impostors, impostor_neighbors(data, m))
 
 
 class TestTargetNeighbors:
