@@ -72,12 +72,6 @@ def knn_predict(train_codes: np.ndarray, train_labels: np.ndarray,
     return predictions
 
 
-def energy_predict(train_codes: np.ndarray, train_labels: np.ndarray,
-                   test_code: np.ndarray, cfg: NeighborConfig) -> Prediction:
-    """Label a single test code by the hypothesized class of lowest energy."""
-    return energy_predict_all(train_codes, train_labels, [np.ravel(test_code)], cfg)[0]
-
-
 def energy_predict_all(train_codes, train_labels, test_codes,
                        cfg: NeighborConfig) -> list[Prediction]:
     """Label each row of test_codes by the hypothesized class of lowest energy."""

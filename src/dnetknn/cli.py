@@ -22,7 +22,8 @@ Exit codes: 0 ok, 2 configuration error, 3 io/data error, 4 numerical
 divergence.
 
 numpy is imported lazily so that ``--threads`` can pin the BLAS thread
-pools before they start.
+pools before they start; ``main`` refuses ``--threads`` (exit 2) in a
+process that has already loaded numpy.
 """
 
 from __future__ import annotations
@@ -280,7 +281,6 @@ def _cmd_finetune(cfg: dict) -> int:
         epochs=cfg["epochs"],
         cg_line_searches=cfg["cg_iters"],
         seed=cfg["seed"],
-        init_mode=trainer.INIT_RANDOM if cfg["init"] == "random" else trainer.INIT_RBM,
         dtype=cfg["dtype"],
     )
     params, report = trainer.finetune(data, train_cfg, init_params)
@@ -408,6 +408,11 @@ def main(argv=None) -> int:
     if args.threads is not None:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)
+            return EXIT_CONFIG
+        if "numpy" in sys.modules:  # its BLAS pools have started; the caps would be ignored
+            print("error: --threads has no effect once numpy is loaded; set "
+                  "OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, MKL_NUM_THREADS) in the "
+                  "environment before the process starts", file=sys.stderr)
             return EXIT_CONFIG
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS"):

@@ -20,14 +20,6 @@ LABEL_MAGIC = 2049
 
 
 @dataclass(frozen=True)
-class Example:
-    """A single feature vector with its integer class label."""
-
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class SplitSpec:
     """Per-class train/test counts, optionally preceded by a seeded shuffle."""
 
@@ -86,9 +78,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def __getitem__(self, i: int) -> Example:
-        return Example(self.features[i], int(self.labels[i]))
-
     def subset(self, indices) -> "Dataset":
         """New Dataset holding the given rows; num_classes is preserved."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -101,8 +90,8 @@ class Dataset:
 def load_idx(images_path, labels_path) -> Dataset:
     """Read an IDX image/label file pair into a Dataset.
 
-    Pixel bytes are scaled by 1/255 so features land in [0, 1].  Example
-    order is preserved from the files.
+    Pixel bytes are scaled by 1/255 so features land in [0, 1].  Row order
+    is preserved from the files.
     """
     with open(images_path, "rb") as f:
         header = f.read(16)

@@ -33,14 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .encoder import (
-    LINEAR,
-    EncoderParams,
-    backward,
-    flatten_gradients,
-    forward_with_cache,
-)
-from .errors import ConfigError, ConsistencyError
+from .encoder import EncoderParams, backward, flatten_gradients, forward_with_cache
+from .errors import ConsistencyError
 from .neighbors import TriplesTable
 
 
@@ -55,19 +49,6 @@ class MarginLoss:
 
     value: float
     active_triples: int
-
-
-@dataclass(frozen=True)
-class LinearBaselineConfig:
-    """Single-linear-layer objective: pull term plus hinge term weighted by
-    the penalty coefficient."""
-
-    penalty: float = 1.0  # coefficient C on the hinge (margin) sum
-    output_dim: int | None = None
-
-    def __post_init__(self):
-        if self.penalty < 0:
-            raise ConfigError("penalty must be nonnegative")
 
 
 # rows per hinge block; bounds the working set of a pass to a few MB
@@ -150,32 +131,3 @@ def loss_and_param_grad(params: EncoderParams, batch: np.ndarray,
     result, code_grad = loss_and_code_grad(codes, table)
     grads = backward(params, cache, code_grad)
     return result, flatten_gradients(grads)
-
-
-def linear_baseline_loss(params: EncoderParams, batch: np.ndarray,
-                         table: TriplesTable,
-                         cfg: LinearBaselineConfig) -> tuple[float, np.ndarray]:
-    """Single-linear-layer objective: sum of target-pair distances plus the
-    penalty-weighted margin hinge sum, with its flattened gradient.
-
-    Each (anchor, target) pair is counted once in the pull term regardless
-    of how many table rows repeat it.
-    """
-    if len(params.layers) != 1 or params.layers[0].activation != LINEAR:
-        raise ConfigError("the baseline objective needs exactly one linear layer")
-    if cfg.output_dim is not None and params.widths[-1] != cfg.output_dim:
-        raise ConfigError(
-            f"encoder outputs {params.widths[-1]} dims, config expects {cfg.output_dim}"
-        )
-    codes, cache = forward_with_cache(params, batch)
-    hinge_part, hinge_grad = loss_and_code_grad(codes, table)
-
-    anchors = np.repeat(table.anchors, table.targets.shape[1])
-    a, b = np.unique(np.column_stack((anchors, table.targets.ravel())), axis=0).T
-    pull = float(_sq_norms(codes[a] - codes[b]).sum(dtype=np.float64))
-    pull_grad = np.zeros_like(codes)
-    _scatter_pair_grad(pull_grad, codes, a, b, np.ones(a.size))
-
-    code_grad = pull_grad + cfg.penalty * hinge_grad
-    grads = backward(params, cache, code_grad)
-    return pull + cfg.penalty * hinge_part.value, flatten_gradients(grads)

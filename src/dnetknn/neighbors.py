@@ -193,9 +193,3 @@ def build_triples(train: Dataset, cfg: NeighborConfig) -> TriplesTable:
     """
     return TriplesTable(np.arange(len(train), dtype=np.int64),
                         target_neighbors(train, cfg.k), impostor_neighbors(train, cfg.m))
-
-
-def dump_triples(table: TriplesTable, path) -> None:
-    """Debug dump: rows as little-endian unsigned 64-bit triples."""
-    with open(path, "wb") as f:
-        f.write(np.ascontiguousarray(table.rows, dtype="<u8").tobytes())

@@ -5,9 +5,10 @@ The model is binary-binary: real-valued inputs in [0, 1] are treated as
 Bernoulli probabilities on the visible units.  The one-step sampling policy
 is fixed: the data-phase hidden states are sampled binary; the reconstructed
 visible layer and the reconstruction-phase hidden layer both use
-probabilities.  The learning rule for a batch is
+probabilities.  Each mini-batch updates the weights by momentum
 
-    dW = lr * (<v h>_data - <v h>_recon - weight_decay * W)
+    V_W = momentum * V_W + lr * (<v h>_data - <v h>_recon - weight_decay * W)
+    W   = W + V_W
 
 with the analogous probability-difference updates for both bias vectors
 (no decay on biases).
@@ -99,20 +100,6 @@ def init_rbm(num_visible: int, num_hidden: int, rng: np.random.Generator,
     return Rbm(w, np.zeros(num_visible, dtype), np.zeros(num_hidden, dtype))
 
 
-def energy(rbm: Rbm, v, h) -> float:
-    """Energy of one joint configuration:
-    -sum_ij W_ij v_i h_j - sum_i v_i b_i - sum_j h_j c_j.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if v.shape != (rbm.num_visible,) or h.shape != (rbm.num_hidden,):
-        raise DimensionError(
-            f"expected v of length {rbm.num_visible} and h of length "
-            f"{rbm.num_hidden}, got {v.shape} and {h.shape}"
-        )
-    return float(-(v @ rbm.weights @ h) - v @ rbm.visible_bias - h @ rbm.hidden_bias)
-
-
 def hidden_given_visible(rbm: Rbm, v: np.ndarray) -> np.ndarray:
     """p(h_j = 1 | v) for a single vector or a batch of rows."""
     v = np.asarray(v)
@@ -151,25 +138,6 @@ def _cd1_statistics(rbm: Rbm, batch: np.ndarray, rng: np.random.Generator):
     gc = (h0 - ph1).mean(axis=0)
     recon = float(((batch - pv1) ** 2).mean())
     return gw, gb, gc, recon
-
-
-def cd1_update(rbm: Rbm, batch: np.ndarray, cfg: CdConfig,
-               rng: np.random.Generator) -> tuple[Rbm, float]:
-    """Apply one CD-1 step on a batch; returns the updated machine and the
-    mean squared reconstruction error of the batch."""
-    batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[1] != rbm.num_visible:
-        raise DimensionError(
-            f"batch shape {batch.shape} does not match {rbm.num_visible} visible units"
-        )
-    gw, gb, gc, recon = _cd1_statistics(rbm, batch, rng)
-    lr = cfg.learning_rate
-    w = rbm.weights + lr * (gw - cfg.weight_decay * rbm.weights)
-    b = rbm.visible_bias + lr * gb
-    c = rbm.hidden_bias + lr * gc
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
-        raise DivergenceError("cd1 update produced non-finite parameters")
-    return Rbm(w, b, c), recon
 
 
 def train_rbm(data: np.ndarray, num_hidden: int, cfg: CdConfig,

@@ -4,7 +4,8 @@ minimization of the margin objective through the encoder.
 Each epoch re-partitions the training set with a derived seed (seed + epoch),
 rebuilds the neighbor triples inside every batch, and runs a fixed number of
 Polak-Ribiere line searches per batch.  A backtracking (Armijo) line search
-guarantees accepted steps never increase the batch loss.  The returned
+accepts only steps that decrease the batch loss, and every trial point stays
+in the training dtype, so accepted steps never increase it.  The returned
 parameters are the best-so-far by full-training-set loss, measured at the
 end of every epoch against a triples table built once over the whole set.
 """
@@ -18,20 +19,9 @@ import numpy as np
 
 from . import margin
 from .dataset import Dataset, make_batches
-from .encoder import (
-    EncoderParams,
-    flatten,
-    forward,
-    from_rbm_stack,
-    init_encoder,
-    unflatten,
-)
+from .encoder import EncoderParams, flatten, forward, unflatten
 from .errors import ConfigError, DimensionError, DivergenceError
 from .neighbors import NeighborConfig, build_triples
-from .rbm import CdConfig, train_stack
-
-INIT_RBM = "rbm-pretrained"
-INIT_RANDOM = "random"
 
 
 @dataclass(frozen=True)
@@ -43,8 +33,6 @@ class TrainConfig:
     epochs: int = 10
     cg_line_searches: int = 3
     seed: int = 0
-    pretraining: CdConfig = field(default_factory=CdConfig)
-    init_mode: str = INIT_RBM
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -58,8 +46,6 @@ class TrainConfig:
             raise ConfigError("cg_line_searches must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        if self.init_mode not in (INIT_RBM, INIT_RANDOM):
-            raise ConfigError(f"unknown init_mode {self.init_mode!r}")
         try:
             dtype = np.dtype(self.dtype)
         except TypeError as exc:
@@ -110,9 +96,11 @@ def polak_ribiere_minimize(value_fn, value_and_grad_fn, x0: np.ndarray,
 
     value_fn(x) -> float and value_and_grad_fn(x) -> (float, grad).  Runs
     the given number of line searches; each one backtracks from an adaptive
-    initial step until the Armijo condition holds, so the recorded value
-    trajectory is non-increasing.  Returns the final point and the values
-    [f(x0), f after each accepted step].
+    initial step until the Armijo condition holds.  Step sizes are Python
+    floats, so every trial point keeps x0's dtype and the accepted point is
+    bit for bit the trial that passed the test; when both functions agree at
+    a point, the recorded value trajectory is non-increasing by construction.
+    Returns the final point and the values [f(x0), f after each accepted step].
     """
     x = x0.copy()
     f0, g = value_and_grad_fn(x)
@@ -121,7 +109,7 @@ def polak_ribiere_minimize(value_fn, value_and_grad_fn, x0: np.ndarray,
     trajectory = [f0]
     direction = -g
     gnorm2 = float(g @ g)
-    step = 1.0 / max(1.0, np.sqrt(gnorm2))
+    step = 1.0 / max(1.0, float(np.sqrt(gnorm2)))
     for _ in range(line_searches):
         if gnorm2 == 0.0:
             trajectory.append(f0)
@@ -227,15 +215,3 @@ def finetune(train: Dataset, cfg: TrainConfig,
             best_loss = full.value
             best_x = x.copy()
     return unflatten(template, best_x), report
-
-
-def pretrain_then_finetune(train: Dataset,
-                           cfg: TrainConfig) -> tuple[EncoderParams, TrainReport]:
-    """Greedy pretraining (or a random start) followed by fine-tuning."""
-    if cfg.init_mode == INIT_RBM:
-        stack = train_stack(train, cfg.layer_sizes, cfg.pretraining,
-                            dtype=np.dtype(cfg.dtype))
-        init = from_rbm_stack(stack)
-    else:
-        init = init_encoder(cfg.layer_sizes, seed=cfg.seed)
-    return finetune(train, cfg, init)

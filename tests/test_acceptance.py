@@ -81,7 +81,6 @@ def finetune_config(seed, epochs, layer_sizes=ARCH):
     return TrainConfig(
         layer_sizes=layer_sizes, k=5, m=30, batch_size=10000, epochs=epochs,
         cg_line_searches=3, seed=seed, dtype="float32",
-        pretraining=CdConfig(epochs=10, mini_batch=100, seed=seed),
     )
 
 

@@ -4,7 +4,6 @@ import pytest
 from dnetknn.classify import (
     _CHUNK_ROWS,
     Prediction,
-    energy_predict,
     energy_predict_all,
     error_rate,
     knn_predict,
@@ -134,14 +133,14 @@ class TestEnergyPredict:
         far = rng.normal(50.0, 0.05, size=(5, 2))
         train = np.vstack([near, far])
         labels = np.array([0] * 5 + [1] * 5)
-        pred = energy_predict(train, labels, np.zeros(2), NeighborConfig(k=2, m=2))
+        pred = energy_predict_all(train, labels, [np.zeros(2)], NeighborConfig(k=2, m=2))[0]
         assert pred.label == 0
         assert pred.score == 0.0  # negative energy of an all-slack hypothesis
 
     def test_symmetric_tie_takes_smaller_class_id(self):
         train = np.array([[-2.0], [-3.0], [2.0], [3.0]])
         labels = np.array([0, 0, 1, 1])
-        pred = energy_predict(train, labels, np.zeros(1), NeighborConfig(k=1, m=1))
+        pred = energy_predict_all(train, labels, [np.zeros(1)], NeighborConfig(k=1, m=1))[0]
         assert pred.label == 0
 
     def test_matches_triple_loop_oracle(self):
@@ -151,7 +150,7 @@ class TestEnergyPredict:
         cfg = NeighborConfig(k=3, m=4)
         for _ in range(10):
             point = rng.standard_normal(3)
-            pred = energy_predict(train, labels, point, cfg)
+            pred = energy_predict_all(train, labels, [point], cfg)[0]
             want_label, want_energies = oracle_energy(train, labels, point, 3, 4)
             assert pred.label == want_label
             assert -pred.score == pytest.approx(want_energies[want_label], rel=1e-10)
@@ -174,7 +173,7 @@ class TestEnergyPredict:
         train = np.zeros((4, 2))
         labels = np.array([0, 0, 0, 1])
         with pytest.raises(CapacityError, match="class 1"):
-            energy_predict(train, labels, np.zeros(2), NeighborConfig(k=2, m=2))
+            energy_predict_all(train, labels, [np.zeros(2)], NeighborConfig(k=2, m=2))
 
     def test_agrees_with_knn_on_well_separated_data(self):
         rng = np.random.default_rng(54)
@@ -192,7 +191,7 @@ class TestEnergyPredict:
         # term equals exactly 1 and each hypothesis energy is k*m*(c-1)
         train = np.zeros((9, 2))
         labels = np.repeat(np.arange(3), 3)
-        pred = energy_predict(train, labels, np.zeros(2), NeighborConfig(k=2, m=3))
+        pred = energy_predict_all(train, labels, [np.zeros(2)], NeighborConfig(k=2, m=3))[0]
         assert pred.label == 0  # three-way tie -> smallest class id
         assert -pred.score == 2 * 3 * (3 - 1)
 

@@ -1,7 +1,12 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dnetknn
 from dnetknn.cli import main
 from dnetknn.dataset import load_csv, save_csv, save_idx
 from dnetknn.encoder import EncoderParams, Layer, load_checkpoint, save_checkpoint
@@ -424,3 +429,30 @@ def test_usage_error_exits_2():
 def test_threads_flag_validated():
     assert main(["--threads", "0", "split", "--csv", "x", "--out-train", "a",
                  "--out-test", "b"]) == 2
+
+
+def test_threads_refused_once_numpy_is_loaded(tmp_path, capsys):
+    # numpy is loaded in this process, so the BLAS caps could not apply;
+    # the missing CSV shows that no data is read before the refusal
+    assert main(["--threads", "1", "split", "--csv", str(tmp_path / "missing.csv"),
+                 "--out-train", str(tmp_path / "a"), "--out-test", str(tmp_path / "b")]) == 2
+    assert "OPENBLAS_NUM_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_threads_applies_in_a_fresh_process(digit_files, tmp_path):
+    src = str(Path(dnetknn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import os, sys; from dnetknn.cli import entrypoint\n"
+              "assert 'numpy' not in sys.modules\n"
+              "try:\n    entrypoint()\n"
+              "finally:\n    assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "--threads", "1", "split",
+         "--csv", str(digit_files / "train.csv"), "--per-class-train", "2",
+         "--per-class-test", "1", "--out-train", str(tmp_path / "tr.csv"),
+         "--out-test", str(tmp_path / "te.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(load_csv(tmp_path / "tr.csv")) == 20

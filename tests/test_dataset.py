@@ -53,7 +53,7 @@ class TestLoadIdx:
         img, lab = write_idx_pair(tmp_path, pixels, [3, 7], 2, 2)
         data = load_idx(img, lab)
         np.testing.assert_allclose(data.features, pixels / 255.0)
-        assert data[0].label == 3 and data[1].label == 7
+        assert data.labels[0] == 3 and data.labels[1] == 7
         assert data.num_classes == 8
 
     def test_bad_image_magic(self, tmp_path):

@@ -12,11 +12,9 @@ from dnetknn.encoder import (
     forward,
     unflatten,
 )
-from dnetknn.errors import ConfigError, ConsistencyError
+from dnetknn.errors import ConsistencyError
 from dnetknn.margin import (
-    LinearBaselineConfig,
     hinge,
-    linear_baseline_loss,
     loss,
     loss_and_code_grad,
     loss_and_param_grad,
@@ -311,77 +309,3 @@ class TestLossAndParamGrad:
         # bias cancels in every distance, so its gradient vanishes (up to
         # floating-point cancellation in the scatter)
         np.testing.assert_allclose(grad[w.size :], 0.0, atol=1e-10)
-
-
-class TestLinearBaseline:
-    def make_problem(self, seed, n=18, dim=5, out=2):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, dim))
-        labels = np.tile(np.arange(3), n // 3)
-        w = rng.standard_normal((dim, out)) * 0.6
-        params = EncoderParams((Layer(w, np.zeros(out), LINEAR),))
-        table = random_triples(rng, labels, 3 * n)
-        return params, x, table
-
-    def test_requires_single_linear_layer(self):
-        params = random_params([4, 3, 2], seed=40)
-        with pytest.raises(ConfigError):
-            linear_baseline_loss(params, np.zeros((2, 4)),
-                                 rows_table([]),
-                                 LinearBaselineConfig())
-
-    def test_zero_penalty_is_pure_pull_and_descends(self):
-        params, x, table = self.make_problem(seed=41)
-        cfg = LinearBaselineConfig(penalty=0.0)
-        value, grad = linear_baseline_loss(params, x, table, cfg)
-        codes = forward(params, x)
-        i, l, _ = table.rows.T
-        keys = np.unique(i * len(x) + l)
-        pull = sum(((codes[k // len(x)] - codes[k % len(x)]) ** 2).sum() for k in keys)
-        assert value == pytest.approx(pull, rel=1e-12)
-        step = 1e-4 / max(1.0, np.abs(grad).max())
-        moved = unflatten(params, flatten(params) - step * grad)
-        smaller, _ = linear_baseline_loss(moved, x, table, cfg)
-        assert smaller < value
-
-    def test_satisfied_margins_leave_pull_only(self):
-        # two tight clusters far apart; identity map keeps every margin slack
-        x = np.vstack([np.zeros((3, 2)), np.full((3, 2), 50.0)])
-        x += np.random.default_rng(42).standard_normal((6, 2)) * 0.01
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        params = EncoderParams((Layer(np.eye(2), np.zeros(2), LINEAR),))
-        table = build_triples(Dataset(x, labels, 2), NeighborConfig(1, 1))
-        value, _ = linear_baseline_loss(params, x, table, LinearBaselineConfig(penalty=1.0))
-        codes = forward(params, x)
-        i, l, _ = table.rows.T
-        keys = np.unique(i * 6 + l)
-        pull = sum(((codes[k // 6] - codes[k % 6]) ** 2).sum() for k in keys)
-        assert value == pytest.approx(pull, rel=1e-12)
-
-    def test_matches_finite_differences(self):
-        params, x, table = self.make_problem(seed=43)
-        cfg = LinearBaselineConfig(penalty=2.0)
-
-        def value(vec):
-            return linear_baseline_loss(unflatten(params, vec), x, table, cfg)[0]
-
-        _, grad = linear_baseline_loss(params, x, table, cfg)
-        numeric = fd_gradient(value, flatten(params))
-        assert norm_relative_error(grad, numeric) < 1e-6
-
-    def test_margin_objective_is_baseline_minus_pull(self):
-        params, x, table = self.make_problem(seed=44)
-        codes = forward(params, x)
-        margin_value = loss(codes, table).value
-        base_value, _ = linear_baseline_loss(params, x, table,
-                                             LinearBaselineConfig(penalty=1.0))
-        i, l, _ = table.rows.T
-        keys = np.unique(i * len(x) + l)
-        pull = sum(((codes[k // len(x)] - codes[k % len(x)]) ** 2).sum() for k in keys)
-        assert margin_value == pytest.approx(base_value - pull, rel=1e-10)
-
-    def test_output_dim_validated(self):
-        params, x, table = self.make_problem(seed=45)
-        with pytest.raises(ConfigError):
-            linear_baseline_loss(params, x, table,
-                                 LinearBaselineConfig(penalty=1.0, output_dim=7))

@@ -8,7 +8,6 @@ from dnetknn.neighbors import (
     _CHUNK_CELLS,
     NeighborConfig,
     build_triples,
-    dump_triples,
     impostor_neighbors,
     nearest,
     sq_dists,
@@ -293,16 +292,6 @@ class TestRigidMotionInvariance:
             before = build_triples(data, cfg)
             after = build_triples(moved, cfg)
             np.testing.assert_array_equal(before.rows, after.rows)
-
-
-def test_dump_triples_binary_layout(tmp_path):
-    data = Dataset(np.array([[0.0], [1.0], [5.0], [6.0]]),
-                   np.array([0, 0, 1, 1]), 2)
-    table = build_triples(data, NeighborConfig(k=1, m=1))
-    path = tmp_path / "triples.bin"
-    dump_triples(table, path)
-    raw = np.frombuffer(path.read_bytes(), dtype="<u8").reshape(-1, 3)
-    np.testing.assert_array_equal(raw, table.rows.astype(np.uint64))
 
 
 def test_config_validation():

@@ -8,8 +8,6 @@ from dnetknn.errors import CapacityError, ConfigError, DimensionError
 from dnetknn.rbm import (
     CdConfig,
     Rbm,
-    cd1_update,
-    energy,
     exact_log_likelihood,
     hidden_given_visible,
     init_rbm,
@@ -74,28 +72,6 @@ class TestSigmoid:
         assert np.all(np.diff(sigmoid(z)) > 0)
 
 
-class TestEnergy:
-    def test_all_zero_configuration(self):
-        machine = random_rbm(3, 2, seed=1)
-        assert energy(machine, [0, 0, 0], [0, 0]) == 0.0
-
-    def test_single_active_term(self):
-        machine = Rbm(np.array([[1.0]]), np.zeros(1), np.zeros(1))
-        assert energy(machine, [1.0], [1.0]) == -1.0
-
-    def test_matches_double_loop_on_all_configurations(self):
-        machine = random_rbm(3, 2, seed=7)
-        for v in itertools.product([0, 1], repeat=3):
-            for h in itertools.product([0, 1], repeat=2):
-                assert energy(machine, v, h) == pytest.approx(
-                    oracle_energy(machine, v, h), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        machine = random_rbm(3, 2, seed=0)
-        with pytest.raises(DimensionError):
-            energy(machine, [0, 0], [0, 0])
-
-
 class TestConditionals:
     def test_zero_parameters_give_half(self):
         machine = Rbm(np.zeros((4, 3)), np.zeros(4), np.zeros(3))
@@ -144,11 +120,19 @@ class TestConditionals:
 
 
 class TestCd1Update:
+    """One train_rbm step: no momentum, one epoch, one mini-batch."""
+
+    @staticmethod
+    def one_step(batch, num_hidden, seed, **rates):
+        cfg = CdConfig(momentum=0.0, initial_momentum=0.0, epochs=1,
+                       mini_batch=len(batch), **rates)
+        machine, history = train_rbm(batch, num_hidden, cfg, np.random.default_rng(seed))
+        return machine, history[0]
+
     def test_zero_rate_is_identity(self):
-        machine = random_rbm(4, 3, seed=1)
         batch = np.random.default_rng(2).random((6, 4))
-        cfg = CdConfig(learning_rate=0.0, epochs=1)
-        updated, err = cd1_update(machine, batch, cfg, np.random.default_rng(3))
+        updated, err = self.one_step(batch, 3, seed=3, learning_rate=0.0)
+        machine = init_rbm(4, 3, np.random.default_rng(3))
         np.testing.assert_array_equal(updated.weights, machine.weights)
         np.testing.assert_array_equal(updated.visible_bias, machine.visible_bias)
         np.testing.assert_array_equal(updated.hidden_bias, machine.hidden_bias)
@@ -157,17 +141,17 @@ class TestCd1Update:
     def test_hand_traced_single_step(self):
         # 1 visible, 1 hidden, one data row; replay the documented sampling
         # policy with the same pinned generator and compare to hand algebra.
-        w0, b0, c0 = 0.4, -0.2, 0.1
         v = 0.9
-        lr, decay = 0.25, 0.0
-        machine = Rbm(np.array([[w0]]), np.array([b0]), np.array([c0]))
+        lr = 0.25
         seed = 123
-        updated, err = cd1_update(
-            machine, np.array([[v]]),
-            CdConfig(learning_rate=lr, weight_decay=decay, epochs=1),
-            np.random.default_rng(seed))
+        updated, err = self.one_step(np.array([[v]]), 1, seed=seed,
+                                     learning_rate=lr, weight_decay=0.0)
 
-        u = np.random.default_rng(seed).random((1, 1))[0, 0]
+        rng = np.random.default_rng(seed)
+        start = init_rbm(1, 1, rng)  # the generator's first draw: the weights
+        w0, b0, c0 = start.weights[0, 0], 0.0, 0.0
+        rng.permutation(1)  # then the epoch's row order
+        u = rng.random((1, 1))[0, 0]  # then the data-phase hidden sample
         ph0 = 1.0 / (1.0 + math.exp(-(v * w0 + c0)))
         h0 = 1.0 if u < ph0 else 0.0
         pv1 = 1.0 / (1.0 + math.exp(-(h0 * w0 + b0)))
@@ -181,31 +165,15 @@ class TestCd1Update:
         assert err == pytest.approx((v - pv1) ** 2, abs=1e-14)
 
     def test_weight_decay_enters_scaled_by_rate(self):
-        machine = Rbm(np.full((1, 1), 2.0), np.zeros(1), np.zeros(1))
-        cfg = CdConfig(learning_rate=0.0, weight_decay=0.5, epochs=1)
-        updated, _ = cd1_update(machine, np.array([[1.0]]), cfg,
-                                np.random.default_rng(0))
-        assert updated.weights[0, 0] == 2.0  # lr=0 kills the decay too
-
-    def test_row_order_invariance_with_per_row_generators(self):
-        # Processing rows one at a time with a generator derived from each
-        # row's identity makes the mean reconstruction error independent of
-        # the processing order.
-        machine = random_rbm(6, 4, seed=8)
-        batch = np.random.default_rng(9).random((10, 6))
-        cfg = CdConfig(epochs=1)
-
-        def per_row_errors(order):
-            errs = np.empty(len(order))
-            for row in order:
-                rng = np.random.default_rng(5000 + row)
-                _, errs[row] = cd1_update(machine, batch[row : row + 1], cfg, rng)
-            return errs
-
-        forward_order = per_row_errors(np.arange(10))
-        shuffled = per_row_errors(np.random.default_rng(1).permutation(10))
-        np.testing.assert_array_equal(forward_order, shuffled)
-        assert forward_order.mean() == shuffled.mean()
+        batch = np.array([[1.0]])
+        updated, _ = self.one_step(batch, 1, seed=0, learning_rate=0.0, weight_decay=0.5)
+        w0 = init_rbm(1, 1, np.random.default_rng(0)).weights
+        np.testing.assert_array_equal(updated.weights, w0)  # lr=0 kills the decay too
+        # the same generator draws the same sample, so decay alone separates the two
+        decayed, _ = self.one_step(batch, 1, seed=0, learning_rate=0.5, weight_decay=0.5)
+        plain, _ = self.one_step(batch, 1, seed=0, learning_rate=0.5, weight_decay=0.0)
+        np.testing.assert_allclose(decayed.weights - plain.weights, -0.5 * 0.5 * w0,
+                                   rtol=1e-9, atol=1e-17)
 
 
 class TestTraining:

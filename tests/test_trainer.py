@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 
 from dnetknn import margin, trainer
-from dnetknn.encoder import forward, init_encoder, load_checkpoint, save_checkpoint
+from dnetknn.encoder import (
+    flatten,
+    forward,
+    from_rbm_stack,
+    init_encoder,
+    load_checkpoint,
+    save_checkpoint,
+    unflatten,
+)
 from dnetknn.errors import ConfigError, DimensionError
 from dnetknn.neighbors import NeighborConfig, build_triples
-from dnetknn.rbm import CdConfig
-from dnetknn.trainer import TrainConfig, finetune, polak_ribiere_minimize, pretrain_then_finetune
+from dnetknn.rbm import CdConfig, train_stack
+from dnetknn.trainer import TrainConfig, finetune, polak_ribiere_minimize
 
 from _synthetic import make_blobs, make_digits
 
@@ -59,7 +67,6 @@ class TestFinetune:
         data = make_blobs(per_class=10, num_classes=3, dim=6, seed=4)
         table = build_triples(data, NeighborConfig(k=2, m=2))
         params = init_encoder((6, 5, 2), seed=5, weight_scale=0.5)
-        from dnetknn.encoder import flatten, unflatten
 
         def value(vec):
             return margin.loss(forward(unflatten(params, vec), data.features), table).value
@@ -78,8 +85,7 @@ class TestFinetune:
         data = make_blobs(per_class=100, num_classes=3, dim=10, seed=5,
                           center_spread=4.0)
         cfg = TrainConfig(layer_sizes=(10, 8, 2), k=2, m=3, batch_size=300,
-                          epochs=10, cg_line_searches=3, seed=0,
-                          init_mode=trainer.INIT_RANDOM)
+                          epochs=10, cg_line_searches=3, seed=0)
         init = init_encoder((10, 8, 2), seed=0, weight_scale=0.5)
         initial = margin.loss(
             forward(init, data.features),
@@ -91,8 +97,7 @@ class TestFinetune:
     def test_best_parameters_returned(self):
         data = make_blobs(per_class=20, num_classes=2, dim=5, seed=6)
         cfg = TrainConfig(layer_sizes=(5, 3, 2), k=1, m=2, batch_size=40,
-                          epochs=4, cg_line_searches=2, seed=1,
-                          init_mode=trainer.INIT_RANDOM)
+                          epochs=4, cg_line_searches=2, seed=1)
         init = init_encoder((5, 3, 2), seed=2, weight_scale=0.5)
         params, report = finetune(data, cfg, init)
         final = margin.loss(forward(params, data.features),
@@ -114,8 +119,7 @@ class TestFinetune:
     def test_multi_batch_epochs_run(self):
         data = make_digits(per_class=8, side=8, seed=9)
         cfg = TrainConfig(layer_sizes=(64, 8, 2), k=1, m=1, batch_size=40,
-                          epochs=2, cg_line_searches=1, seed=3,
-                          init_mode=trainer.INIT_RANDOM)
+                          epochs=2, cg_line_searches=1, seed=3)
         params, report = finetune(data, cfg, init_encoder((64, 8, 2), seed=1,
                                                           weight_scale=0.3))
         assert len(report.losses) == 2
@@ -124,36 +128,55 @@ class TestFinetune:
     def test_float32_mode(self):
         data = make_blobs(per_class=15, num_classes=2, dim=6, seed=10)
         cfg = TrainConfig(layer_sizes=(6, 4, 2), k=1, m=2, batch_size=30,
-                          epochs=2, cg_line_searches=2, seed=4, dtype="float32",
-                          init_mode=trainer.INIT_RANDOM)
+                          epochs=2, cg_line_searches=2, seed=4, dtype="float32")
         params, report = finetune(data, cfg, init_encoder((6, 4, 2), seed=5,
                                                           weight_scale=0.5))
         assert params.dtype == np.float32
         assert np.isfinite(report.losses[-1])
 
+    def test_float32_objective_sees_only_float32_points(self, monkeypatch):
+        # every point the objective evaluates, line-search trials included,
+        # stays in the training dtype
+        seen = []
+
+        def recording_unflatten(template, vec):
+            seen.append(vec.dtype)
+            return unflatten(template, vec)
+
+        monkeypatch.setattr(trainer, "unflatten", recording_unflatten)
+        data = make_blobs(per_class=30, num_classes=3, dim=6, seed=0)
+        cfg = TrainConfig(layer_sizes=(6, 4, 2), k=2, m=2, batch_size=90,
+                          epochs=2, cg_line_searches=3, seed=0, dtype="float32")
+        finetune(data, cfg, init_encoder((6, 4, 2), seed=0, weight_scale=0.5))
+        assert len(seen) > 2 * (1 + cfg.cg_line_searches)
+        assert set(seen) == {np.dtype(np.float32)}
+
 
 class TestPretrainThenFinetune:
+    """The CLI pipeline: `pretrain` (train_stack) -> `finetune` from its
+    checkpoint, or from a random start."""
+
     def digits(self):
         return make_digits(per_class=12, side=8, seed=11)
 
+    def pretrained(self, data, cfg, cd):
+        stack = train_stack(data, cfg.layer_sizes, cd, dtype=np.dtype(cfg.dtype))
+        return finetune(data, cfg, from_rbm_stack(stack))
+
     def test_pretrained_beats_random_after_five_epochs(self):
         data = self.digits()
-        base = dict(layer_sizes=(64, 24, 12, 4), k=2, m=3, batch_size=120,
-                    epochs=5, cg_line_searches=3, seed=0,
-                    pretraining=CdConfig(epochs=8, mini_batch=25, seed=0))
-        _, pretrained = pretrain_then_finetune(
-            data, TrainConfig(init_mode=trainer.INIT_RBM, **base))
-        _, random_start = pretrain_then_finetune(
-            data, TrainConfig(init_mode=trainer.INIT_RANDOM, **base))
+        cfg = TrainConfig(layer_sizes=(64, 24, 12, 4), k=2, m=3, batch_size=120,
+                          epochs=5, cg_line_searches=3, seed=0)
+        _, pretrained = self.pretrained(data, cfg, CdConfig(epochs=8, mini_batch=25, seed=0))
+        _, random_start = finetune(data, cfg, init_encoder(cfg.layer_sizes, seed=cfg.seed))
         assert pretrained.losses[-1] < random_start.losses[-1]
 
     def test_two_layer_linear_pipeline(self):
         # degenerate depth: a single linear layer, the classic linear-map setting
         data = self.digits()
         cfg = TrainConfig(layer_sizes=(64, 4), k=1, m=2, batch_size=120,
-                          epochs=2, cg_line_searches=2, seed=1,
-                          pretraining=CdConfig(epochs=2, mini_batch=30, seed=1))
-        params, report = pretrain_then_finetune(data, cfg)
+                          epochs=2, cg_line_searches=2, seed=1)
+        params, report = self.pretrained(data, cfg, CdConfig(epochs=2, mini_batch=30, seed=1))
         assert params.widths == (64, 4)
         assert len(params.layers) == 1
         assert np.isfinite(report.losses[-1])
@@ -161,9 +184,8 @@ class TestPretrainThenFinetune:
     def test_checkpoint_round_trip_after_training(self, tmp_path):
         data = self.digits()
         cfg = TrainConfig(layer_sizes=(64, 10, 4), k=1, m=1, batch_size=120,
-                          epochs=1, cg_line_searches=1, seed=2,
-                          pretraining=CdConfig(epochs=1, mini_batch=30, seed=2))
-        params, _ = pretrain_then_finetune(data, cfg)
+                          epochs=1, cg_line_searches=1, seed=2)
+        params, _ = self.pretrained(data, cfg, CdConfig(epochs=1, mini_batch=30, seed=2))
         save_checkpoint(params, tmp_path / "m.dnkn")
         again = load_checkpoint(tmp_path / "m.dnkn")
         np.testing.assert_array_equal(forward(params, data.features[:5]),
@@ -172,10 +194,10 @@ class TestPretrainThenFinetune:
     def test_deterministic_repetition(self):
         data = self.digits()
         cfg = TrainConfig(layer_sizes=(64, 10, 4), k=1, m=2, batch_size=60,
-                          epochs=3, cg_line_searches=2, seed=7,
-                          pretraining=CdConfig(epochs=3, mini_batch=30, seed=7))
-        _, r1 = pretrain_then_finetune(data, cfg)
-        _, r2 = pretrain_then_finetune(data, cfg)
+                          epochs=3, cg_line_searches=2, seed=7)
+        cd = CdConfig(epochs=3, mini_batch=30, seed=7)
+        _, r1 = self.pretrained(data, cfg, cd)
+        _, r2 = self.pretrained(data, cfg, cd)
         assert r1.losses == r2.losses
 
 
@@ -199,8 +221,6 @@ def test_config_validation():
         TrainConfig(layer_sizes=(4, 2), epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(layer_sizes=(4, 2), k=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(layer_sizes=(4, 2), init_mode="mystery")
 
 
 @pytest.mark.parametrize("dtype", ["int32", "bool", "complex128", "mystery"])
