@@ -24,11 +24,15 @@ so each (anchor, target) pair is weighted by its active impostors and each
 (anchor, impostor) pair by its active targets.  The scatter is a
 graph-Laplacian product over those signed pair weights, which keeps the
 whole pass vectorized and reproducible.
+
+The gradient entry points return the value and a function that computes the
+gradient from the same pass, so testing a point never pays for the scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -36,11 +40,6 @@ from scipy import sparse
 from .encoder import EncoderParams, backward, flatten_gradients, forward_with_cache
 from .errors import ConsistencyError
 from .neighbors import TriplesTable
-
-
-def hinge(z):
-    """max(z, 0), elementwise."""
-    return np.maximum(z, 0.0)
 
 
 @dataclass(frozen=True)
@@ -106,28 +105,32 @@ def loss(codes: np.ndarray, table: TriplesTable) -> MarginLoss:
 
 
 def loss_and_code_grad(codes: np.ndarray,
-                       table: TriplesTable) -> tuple[MarginLoss, np.ndarray]:
-    """Objective value plus its gradient with respect to every code row."""
+                       table: TriplesTable) -> tuple[MarginLoss, Callable]:
+    """Objective value plus a function of no arguments that returns its
+    gradient with respect to every code row by scattering this call's
+    per-pair active counts; it repeats no hinge pass."""
     codes = np.atleast_2d(np.asarray(codes))
     target_w = np.empty(table.targets.shape, dtype=np.int64)
     impostor_w = np.empty(table.impostors.shape, dtype=np.int64)
     result = _hinge_pass(codes, table, target_w, impostor_w)
-    grad = np.zeros_like(codes)
-    if result.active_triples:
-        for others, weights in ((table.targets, target_w), (table.impostors, -impostor_w)):
-            used = weights != 0
-            anchors = np.broadcast_to(table.anchors[:, None], others.shape)
-            _scatter_pair_grad(grad, codes, anchors[used], others[used], weights[used])
-    return result, grad
+
+    def gradient() -> np.ndarray:
+        grad = np.zeros_like(codes)
+        if result.active_triples:
+            for others, weights in ((table.targets, target_w), (table.impostors, -impostor_w)):
+                used = weights != 0
+                anchors = np.broadcast_to(table.anchors[:, None], others.shape)
+                _scatter_pair_grad(grad, codes, anchors[used], others[used], weights[used])
+        return grad
+    return result, gradient
 
 
 def loss_and_param_grad(params: EncoderParams, batch: np.ndarray,
-                        table: TriplesTable) -> tuple[MarginLoss, np.ndarray]:
-    """Objective on forward(params, batch) and its flattened parameter gradient.
-
-    The gradient vector lines up with encoder.flatten(params).
-    """
+                        table: TriplesTable) -> tuple[MarginLoss, Callable]:
+    """Objective on forward(params, batch) plus a function of no arguments
+    that returns the flattened parameter gradient, lined up with
+    encoder.flatten(params).  It reuses this call's activations and hinge
+    pass, so it runs only the scatter and `backward`."""
     codes, cache = forward_with_cache(params, batch)
     result, code_grad = loss_and_code_grad(codes, table)
-    grads = backward(params, cache, code_grad)
-    return result, flatten_gradients(grads)
+    return result, lambda: flatten_gradients(backward(params, cache, code_grad()))

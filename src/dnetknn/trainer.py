@@ -4,8 +4,8 @@ minimization of the margin objective through the encoder.
 Each epoch re-partitions the training set with a derived seed (seed + epoch),
 rebuilds the neighbor triples inside every batch, and runs a fixed number of
 Polak-Ribiere line searches per batch.  A backtracking (Armijo) line search
-accepts only steps that decrease the batch loss, and every trial point stays
-in the training dtype, so accepted steps never increase it.  The returned
+accepts only steps that decrease the batch loss and records the exact value
+it accepted, so the recorded batch loss never increases.  The returned
 parameters are the best-so-far by full-training-set loss, measured at the
 end of every epoch against a triples table built once over the whole set.
 """
@@ -38,8 +38,7 @@ class TrainConfig:
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ConfigError("layer_sizes needs at least an input and an output width")
-        if self.k < 1 or self.m < 1:
-            raise ConfigError("k and m must be >= 1")
+        self.neighbor_config  # raises ConfigError unless k and m are >= 1
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.cg_line_searches < 1:
@@ -89,21 +88,22 @@ class TrainReport:
                 f.write(line + "\n")
 
 
-def polak_ribiere_minimize(value_fn, value_and_grad_fn, x0: np.ndarray,
-                           line_searches: int, armijo: float = 1e-4,
+def polak_ribiere_minimize(objective, x0: np.ndarray, line_searches: int,
+                           armijo: float = 1e-4,
                            backtracks: int = 30) -> tuple[np.ndarray, list[float]]:
     """Nonlinear conjugate gradient with PR+ direction updates.
 
-    value_fn(x) -> float and value_and_grad_fn(x) -> (float, grad).  Runs
-    the given number of line searches; each one backtracks from an adaptive
-    initial step until the Armijo condition holds.  Step sizes are Python
-    floats, so every trial point keeps x0's dtype and the accepted point is
-    bit for bit the trial that passed the test; when both functions agree at
-    a point, the recorded value trajectory is non-increasing by construction.
+    objective(x) -> (value, gradient_fn); gradient_fn() is the gradient at x.
+    Each line search backtracks from an adaptive initial step until the
+    Armijo condition holds.  Every trial point is evaluated once, in x0's
+    dtype; gradient_fn runs only at x0 and at accepted points, and is
+    dropped before the next trial.  The recorded value is the exact value
+    the Armijo test accepted, so the trajectory is non-increasing.
     Returns the final point and the values [f(x0), f after each accepted step].
     """
     x = x0.copy()
-    f0, g = value_and_grad_fn(x)
+    f0, gradient = objective(x)
+    g = gradient()
     if not (np.isfinite(f0) and np.all(np.isfinite(g))):
         raise DivergenceError("objective is non-finite at the starting point")
     trajectory = [f0]
@@ -124,7 +124,9 @@ def polak_ribiere_minimize(value_fn, value_and_grad_fn, x0: np.ndarray,
         for _ in range(backtracks):
             if alpha * (-slope) < resolution:
                 break  # the demanded decrease is below float resolution of f
-            f_try = value_fn(x + alpha * direction)
+            gradient = None  # hold one point's evaluation at a time
+            x_try = x + alpha * direction
+            f_try, gradient = objective(x_try)
             if np.isfinite(f_try) and f_try <= f0 + armijo * alpha * slope:
                 accepted = True
                 break
@@ -134,16 +136,15 @@ def polak_ribiere_minimize(value_fn, value_and_grad_fn, x0: np.ndarray,
             step = max(step * 0.25, 1e-20)
             trajectory.append(f0)
             continue
-        x += alpha * direction
+        x, f0 = x_try, f_try
         step = 2.0 * alpha
-        f_new, g_new = value_and_grad_fn(x)
-        if not (np.isfinite(f_new) and np.all(np.isfinite(g_new))):
+        g_new = gradient()
+        if not np.all(np.isfinite(g_new)):
             raise DivergenceError("objective became non-finite after a step")
         beta = max(0.0, float(g_new @ (g_new - g)) / gnorm2)
         direction = -g_new + beta * direction
         g = g_new
         gnorm2 = float(g @ g)
-        f0 = f_new
         trajectory.append(f0)
     return x, trajectory
 
@@ -187,18 +188,13 @@ def finetune(train: Dataset, cfg: TrainConfig,
         for batch_idx, (batch, table) in enumerate(batches):
             batch_features = batch.features.astype(dtype, copy=False)
 
-            def value(vec):
-                codes = forward(unflatten(template, vec), batch_features)
-                return margin.loss(codes, table).value
-
-            def value_and_grad(vec):
-                result, grad = margin.loss_and_param_grad(
+            def objective(vec):
+                result, gradient = margin.loss_and_param_grad(
                     unflatten(template, vec), batch_features, table)
-                return result.value, grad
+                return result.value, gradient
 
             try:
-                x, _ = polak_ribiere_minimize(
-                    value, value_and_grad, x, cfg.cg_line_searches)
+                x, _ = polak_ribiere_minimize(objective, x, cfg.cg_line_searches)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"epoch {epoch}, batch {batch_idx}: {exc}") from exc

@@ -148,7 +148,8 @@ def test_criterion_1_gradient_correctness():
     flat[:] += 0.3 * rng.standard_normal(flat.size)
     params = unflatten(params, flat)
 
-    _, analytic = margin.loss_and_param_grad(params, data.features, table)
+    _, gradient = margin.loss_and_param_grad(params, data.features, table)
+    analytic = gradient()
 
     def value(vec):
         return margin.loss(forward(unflatten(params, vec), data.features),

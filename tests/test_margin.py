@@ -8,13 +8,15 @@ from dnetknn.encoder import (
     LINEAR,
     EncoderParams,
     Layer,
+    backward,
     flatten,
+    flatten_gradients,
     forward,
+    forward_with_cache,
     unflatten,
 )
 from dnetknn.errors import ConsistencyError
 from dnetknn.margin import (
-    hinge,
     loss,
     loss_and_code_grad,
     loss_and_param_grad,
@@ -81,20 +83,23 @@ def fd_gradient(fn, x, h=1e-5):
     return grad
 
 
-class TestHinge:
-    def test_values(self):
-        assert hinge(-2.0) == 0.0
-        assert hinge(0.0) == 0.0
-        assert hinge(3.0) == 3.0
-        np.testing.assert_array_equal(hinge(np.array([-1.0, 0.0, 2.5])),
-                                      [0.0, 0.0, 2.5])
+def code_grad(codes, table):
+    """loss_and_code_grad with its gradient function called at once."""
+    result, gradient = loss_and_code_grad(codes, table)
+    return result, gradient()
+
+
+def param_grad(params, batch, table):
+    """loss_and_param_grad with its gradient function called at once."""
+    result, gradient = loss_and_param_grad(params, batch, table)
+    return result, gradient()
 
 
 class TestLossAndCodeGrad:
     def test_inactive_single_triple(self):
         codes = np.array([[0.0], [1.0], [3.0]])
         table = rows_table([[0, 1, 2]])
-        result, grad = loss_and_code_grad(codes, table)
+        result, grad = code_grad(codes, table)
         assert result.value == 0.0
         assert result.active_triples == 0
         assert not grad.any()
@@ -102,7 +107,7 @@ class TestLossAndCodeGrad:
     def test_hand_evaluated_single_triple(self):
         codes = np.array([[0.0], [1.0], [1.2]])
         table = rows_table([[0, 1, 2]])
-        result, grad = loss_and_code_grad(codes, table)
+        result, grad = code_grad(codes, table)
         assert result.value == pytest.approx(0.56, abs=1e-12)
         assert result.active_triples == 1
         # d/dy0: 2(y0-y1) - 2(y0-y2) = -2 + 2.4 = 0.4
@@ -116,7 +121,7 @@ class TestLossAndCodeGrad:
             labels[:3] = [0, 1, 2]
             codes = rng.standard_normal((n, int(rng.integers(1, 5))))
             table = random_triples(rng, labels, int(rng.integers(5, 200)))
-            result, grad = loss_and_code_grad(codes, table)
+            result, grad = code_grad(codes, table)
             want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
             assert result.value == pytest.approx(want_value, abs=1e-12)
             assert result.active_triples == want_active
@@ -128,7 +133,7 @@ class TestLossAndCodeGrad:
         labels[:4] = np.arange(4)
         codes = rng.standard_normal((60, 3))
         table = random_triples(rng, labels, 10_000)
-        result, grad = loss_and_code_grad(codes, table)
+        result, grad = code_grad(codes, table)
         want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
         assert result.value == pytest.approx(want_value, rel=1e-12)
         assert result.active_triples == want_active
@@ -144,7 +149,7 @@ class TestLossAndCodeGrad:
         i, l, j = table.rows.T
         z = 1.0 + ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1)
         assert np.abs(z).min() > 1e-3
-        _, grad = loss_and_code_grad(codes, table)
+        _, grad = code_grad(codes, table)
         numeric = fd_gradient(lambda c: loss(c, table).value, codes)
         assert norm_relative_error(grad, numeric) < 1e-6
 
@@ -152,7 +157,7 @@ class TestLossAndCodeGrad:
         rng = np.random.default_rng(24)
         codes = rng.standard_normal((12, 2))
         table = rows_table([[0, 1, 2], [3, 4, 5]])
-        _, grad = loss_and_code_grad(codes, table)
+        _, grad = code_grad(codes, table)
         assert not grad[6:].any()
 
     def test_loss_only_agrees_with_loss_and_grad(self):
@@ -189,7 +194,7 @@ class TestFactoredTable:
         want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
         value_tol, grad_tol = self.TOLERANCES[codes.dtype.type]
         only = loss(codes, table)
-        result, grad = loss_and_code_grad(codes, table)
+        result, grad = code_grad(codes, table)
         for got in (only, result):
             assert got.active_triples == want_active
             assert got.value == pytest.approx(want_value, rel=value_tol, abs=value_tol)
@@ -235,7 +240,7 @@ class TestFactoredTable:
         codes = rng.standard_normal((n, 10))
         tracemalloc.start()
         try:
-            result, _ = loss_and_code_grad(codes, table)
+            result, _ = code_grad(codes, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -257,18 +262,36 @@ class TestInvariance:
 
 
 class TestLossAndParamGrad:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_function_matches_eager_chain(self, dtype):
+        # the returned function reuses the call's activations and per-pair
+        # counts; it must equal the whole chain recomputed at the same point
+        data = make_blobs(per_class=12, num_classes=3, dim=6, seed=34)
+        table = build_triples(data, NeighborConfig(k=2, m=3))
+        params = random_params([6, 5, 3], seed=35).astype(dtype)
+        x = data.features.astype(dtype)
+        result, gradient = loss_and_param_grad(params, x, table)
+        assert 0 < result.active_triples < len(table)
+        codes, cache = forward_with_cache(params, x)
+        _, eager_code_grad = code_grad(codes, table)
+        want = flatten_gradients(backward(params, cache, eager_code_grad))
+        got = gradient()
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert gradient().tobytes() == want.tobytes()
+
     def test_zero_loss_means_zero_gradient(self):
         params = random_params([3, 2], seed=30)
         x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [100.0, 0.0, 0.0], [101.0, 0.0, 0.0]])
         labels = np.array([0, 0, 1, 1])
         table = build_triples(Dataset(x, labels, 2), NeighborConfig(1, 1))
-        result, grad = loss_and_param_grad(params, x, table)
+        result, grad = param_grad(params, x, table)
         if result.value == 0.0:
             assert not grad.any()
         # force well-separated codes to guarantee the zero-loss branch runs
         wide = EncoderParams((Layer(np.eye(3, 2) * 50.0, np.zeros(2), LINEAR),))
-        result, grad = loss_and_param_grad(wide, x, table)
+        result, grad = param_grad(wide, x, table)
         assert result.value == 0.0
         assert not grad.any()
 
@@ -281,7 +304,7 @@ class TestLossAndParamGrad:
         def value(vec):
             return loss(forward(unflatten(params, vec), data.features), table).value
 
-        _, grad = loss_and_param_grad(params, data.features, table)
+        _, grad = param_grad(params, data.features, table)
         numeric = fd_gradient(value, x0)
         assert norm_relative_error(grad, numeric) < 1e-5
 
@@ -303,7 +326,7 @@ class TestLossAndParamGrad:
             dl = (x[ii] - x[ll])[:, None]
             dj = (x[ii] - x[jj])[:, None]
             dw_hand += 2.0 * (dl @ dl.T - dj @ dj.T) @ w
-        _, grad = loss_and_param_grad(params, x, table)
+        _, grad = param_grad(params, x, table)
         got_dw = grad[: w.size].reshape(w.shape)
         np.testing.assert_allclose(got_dw, dw_hand, atol=1e-9)
         # bias cancels in every distance, so its gradient vanishes (up to

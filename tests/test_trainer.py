@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -25,41 +27,62 @@ def quadratic_problem(dim, seed):
     a = a @ a.T + dim * np.eye(dim)
     b = rng.standard_normal(dim)
 
-    def value(x):
-        return float(0.5 * x @ a @ x - b @ x)
+    def objective(x):
+        return float(0.5 * x @ a @ x - b @ x), lambda: a @ x - b
 
-    def value_and_grad(x):
-        return value(x), a @ x - b
-
-    return value, value_and_grad
+    return objective
 
 
 class TestPolakRibiere:
     def test_trajectory_is_non_increasing(self):
-        value, value_and_grad = quadratic_problem(8, seed=0)
+        objective = quadratic_problem(8, seed=0)
         x0 = np.random.default_rng(1).standard_normal(8)
-        _, trajectory = polak_ribiere_minimize(value, value_and_grad, x0, 10)
+        _, trajectory = polak_ribiere_minimize(objective, x0, 10)
         assert len(trajectory) == 11
-        assert all(b <= a + 1e-12 for a, b in zip(trajectory, trajectory[1:]))
+        assert all(b <= a for a, b in zip(trajectory, trajectory[1:]))
 
     def test_reaches_quadratic_minimum(self):
-        value, value_and_grad = quadratic_problem(5, seed=2)
+        objective = quadratic_problem(5, seed=2)
         x0 = np.zeros(5)
-        x, trajectory = polak_ribiere_minimize(value, value_and_grad, x0, 40)
-        _, grad = value_and_grad(x)
+        x, trajectory = polak_ribiere_minimize(objective, x0, 40)
+        grad = objective(x)[1]()
         assert np.linalg.norm(grad) < 1e-3 * max(1.0, abs(trajectory[0]))
 
     def test_zero_gradient_is_stationary(self):
-        def flat_value(x):
-            return 1.0
+        def flat(x):
+            return 1.0, lambda: np.zeros_like(x)
 
-        def flat_value_and_grad(x):
-            return 1.0, np.zeros_like(x)
-
-        x, trajectory = polak_ribiere_minimize(flat_value, flat_value_and_grad,
-                                               np.ones(4), 3)
+        x, trajectory = polak_ribiere_minimize(flat, np.ones(4), 3)
         np.testing.assert_array_equal(x, np.ones(4))
         assert trajectory == [1.0, 1.0, 1.0, 1.0]
+
+    def test_each_point_evaluated_once_and_differentiated_only_if_accepted(self):
+        # from the origin the first trial overshoots the minimum along -g,
+        # so the line searches backtrack
+        quadratic = quadratic_problem(6, seed=3)
+        points, values, differentiated, live = [], [], [], []
+
+        def objective(x):
+            # the previous point's gradient function was dropped first
+            assert all(ref() is None for ref in live)
+            value, gradient = quadratic(x)
+            points.append(x.tobytes())
+            values.append(value)
+            index = len(values) - 1
+
+            def counted():
+                differentiated.append(index)
+                return gradient()
+
+            live.append(weakref.ref(counted))
+            return value, counted
+
+        _, trajectory = polak_ribiere_minimize(objective, np.zeros(6), 6)
+        accepted = [b for a, b in zip(trajectory, trajectory[1:]) if b < a]
+        assert len(values) > 1 + len(accepted)  # some trials were rejected
+        assert len(set(points)) == len(points)
+        assert differentiated[0] == 0
+        assert [values[i] for i in differentiated] == [trajectory[0]] + accepted
 
 
 class TestFinetune:
@@ -68,18 +91,63 @@ class TestFinetune:
         table = build_triples(data, NeighborConfig(k=2, m=2))
         params = init_encoder((6, 5, 2), seed=5, weight_scale=0.5)
 
-        def value(vec):
-            return margin.loss(forward(unflatten(params, vec), data.features), table).value
-
-        def value_and_grad(vec):
-            result, grad = margin.loss_and_param_grad(
+        def objective(vec):
+            result, gradient = margin.loss_and_param_grad(
                 unflatten(params, vec), data.features, table)
-            return result.value, grad
+            return result.value, gradient
 
-        _, trajectory = polak_ribiere_minimize(value, value_and_grad,
-                                               flatten(params), 3)
+        _, trajectory = polak_ribiere_minimize(objective, flatten(params), 3)
         assert len(trajectory) == 4
         assert all(b <= a for a, b in zip(trajectory, trajectory[1:]))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("start", ["pretrained", "random"])
+    def test_reused_evaluation_matches_recomputed_gradient(self, monkeypatch,
+                                                           start, dtype):
+        # each gradient reuses the evaluation that tested its point; a
+        # gradient recomputed from scratch must change nothing, bit for bit
+        data = make_digits(per_class=12, side=8, seed=12)
+        # the pretrained start runs as one batch, the random one in two
+        cfg = TrainConfig(layer_sizes=(64, 16, 4), k=2, m=2, epochs=2,
+                          batch_size=120 if start == "pretrained" else 60,
+                          cg_line_searches=3, seed=0, dtype=dtype)
+        if start == "pretrained":
+            init = from_rbm_stack(train_stack(data, cfg.layer_sizes,
+                                              CdConfig(epochs=3, mini_batch=30, seed=0),
+                                              dtype=np.dtype(dtype)))
+        else:
+            init = init_encoder(cfg.layer_sizes, seed=0)
+
+        def run():
+            trajectories = []
+
+            def recording(*args):
+                x, trajectory = polak_ribiere_minimize(*args)
+                trajectories.append(trajectory)
+                return x, trajectory
+
+            monkeypatch.setattr(trainer, "polak_ribiere_minimize", recording)
+            params, report = finetune(data, cfg, init)
+            stats = [(e.loss, e.active_triples) for e in report.epochs]
+            return flatten(params).tobytes(), stats, trajectories
+
+        reused = run()
+        evaluations, gradients = [], []
+        original = margin.loss_and_param_grad
+
+        def recomputing(params, batch, table):
+            evaluations.append(None)
+
+            def gradient():
+                gradients.append(None)
+                return original(params, batch, table)[1]()
+
+            return original(params, batch, table)[0], gradient
+
+        monkeypatch.setattr(margin, "loss_and_param_grad", recomputing)
+        assert run() == reused
+        if start == "random":
+            assert len(evaluations) > len(gradients)  # the line search backtracked
 
     def test_blobs_loss_collapses(self):
         data = make_blobs(per_class=100, num_classes=3, dim=10, seed=5,
