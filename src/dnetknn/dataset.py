@@ -222,6 +222,14 @@ def fixed_split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return data.subset(np.concatenate(train_parts)), data.subset(np.concatenate(test_parts))
 
 
+def batch_indices(n: int, batch_size: int, seed: int) -> list[np.ndarray]:
+    """Row indices of the batches make_batches builds for n rows: a seeded
+    permutation of range(n) cut into runs of batch_size (the last may be
+    shorter)."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return [perm[start : start + batch_size] for start in range(0, n, batch_size)]
+
+
 def make_batches(data: Dataset, batch_size: int, seed: int) -> list[Dataset]:
     """Seeded random partition into batches of batch_size (last may be smaller).
 
@@ -231,8 +239,4 @@ def make_batches(data: Dataset, batch_size: int, seed: int) -> list[Dataset]:
         raise ConfigError(
             f"batch_size {batch_size} is smaller than num_classes {data.num_classes}"
         )
-    perm = np.random.default_rng(seed).permutation(len(data))
-    return [
-        data.subset(perm[start : start + batch_size])
-        for start in range(0, len(data), batch_size)
-    ]
+    return [data.subset(idx) for idx in batch_indices(len(data), batch_size, seed)]

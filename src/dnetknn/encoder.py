@@ -36,6 +36,13 @@ class Layer:
             raise DimensionError(
                 f"bias length {self.bias.shape[0]} != output width {self.weights.shape[1]}"
             )
+        # forward adds the bias and squashes in the product's own buffer
+        if self.bias.dtype != self.weights.dtype or \
+                not np.issubdtype(self.weights.dtype, np.floating):
+            raise ConfigError(
+                f"weights ({self.weights.dtype}) and bias ({self.bias.dtype}) "
+                f"need one floating dtype"
+            )
         if self.activation not in (LOGISTIC, LINEAR):
             raise ConfigError(f"unknown activation code {self.activation}")
 
@@ -122,21 +129,35 @@ def from_rbm_stack(stack: list[Rbm]) -> EncoderParams:
     return EncoderParams(tuple(layers))
 
 
-def forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Map input rows to code rows."""
-    return forward_with_cache(params, x)[0]
-
-
-def forward_with_cache(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def _input_rows(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x))
     if x.shape[1] != params.widths[0]:
         raise DimensionError(
             f"input width {x.shape[1]} != encoder input width {params.widths[0]}"
         )
-    acts = [x]
+    return x
+
+
+def _apply(layer: Layer, a: np.ndarray) -> np.ndarray:
+    """One layer's output, computed in the product's own buffer."""
+    z = a @ layer.weights
+    z += layer.bias
+    return sigmoid(z, out=z) if layer.activation == LOGISTIC else z
+
+
+def forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """Map input rows to code rows, holding only the current layer's output."""
+    a = _input_rows(params, x)
     for layer in params.layers:
-        z = acts[-1] @ layer.weights + layer.bias
-        acts.append(sigmoid(z) if layer.activation == LOGISTIC else z)
+        a = _apply(layer, a)
+    return a
+
+
+def forward_with_cache(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Codes plus every layer's activation, as backward() needs them."""
+    acts = [_input_rows(params, x)]
+    for layer in params.layers:
+        acts.append(_apply(layer, acts[-1]))
     return acts[-1], ForwardCache(tuple(acts))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import CapacityError, ConfigError, DivergenceError
 
-# distance-block cells per selection step of `nearest`: bounds its temporaries
+# distance-block cells per step of `sq_dists` and `nearest`: bounds their temporaries
 _CHUNK_CELLS = 1 << 20
 
 
@@ -89,12 +89,19 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of a and rows of b.
 
     Raises DivergenceError when a distance is not finite: finite rows whose
-    squares overflow would otherwise rank every neighbor by NaN.
+    squares overflow would otherwise rank every neighbor by NaN.  The block
+    is formed in the product's own buffer as -2 (a b^T) + (|a|^2 + |b|^2),
+    the norms added a row chunk at a time; that equals |a|^2 + |b|^2 - 2 a b^T
+    bit for bit, because doubling is exact and x - y is x + (-y).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         aa = (a * a).sum(axis=1)[:, None]
         bb = (b * b).sum(axis=1)[None, :]
-        d = aa + bb - 2.0 * (a @ b.T)
+        d = a @ b.T
+        d *= -2.0
+        step = max(1, _CHUNK_CELLS // max(1, d.shape[1]))
+        for start in range(0, d.shape[0], step):
+            d[start : start + step] += aa[start : start + step] + bb
     np.maximum(d, 0.0, out=d)
     if not np.isfinite(d).all():
         raise DivergenceError("squared distances overflow: the features or codes "

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import margin
-from .dataset import Dataset, make_batches
+from .dataset import Dataset, batch_indices, make_batches
 from .encoder import EncoderParams, flatten, forward, unflatten
-from .errors import ConfigError, DimensionError, DivergenceError
+from .errors import CapacityError, ConfigError, DimensionError, DivergenceError
 from .neighbors import NeighborConfig, build_triples
 
 
@@ -149,12 +149,36 @@ def polak_ribiere_minimize(objective, x0: np.ndarray, line_searches: int,
     return x, trajectory
 
 
+def _check_batch_capacity(train: Dataset, cfg: TrainConfig) -> None:
+    """Refuse a split whose batches cannot all hold a triples table.
+
+    Every batch of every epoch needs at least k + 1 members of each class
+    for its targets and at least m for its impostors.  Checked on the
+    partition indices alone, before any table is built.
+    """
+    need = max(cfg.k + 1, cfg.m)
+    for epoch in range(cfg.epochs):
+        for batch_idx, idx in enumerate(
+                batch_indices(len(train), cfg.batch_size, cfg.seed + epoch)):
+            counts = np.bincount(train.labels[idx], minlength=train.num_classes)
+            short = np.flatnonzero(counts < need)
+            if short.size:
+                cls = int(short[0])
+                raise CapacityError(
+                    f"epoch {epoch}, batch {batch_idx} ({idx.size} rows): class {cls} "
+                    f"has {counts[cls]} members; each batch needs >= {cfg.k + 1} "
+                    f"(k + 1) and >= {cfg.m} (m) of every class"
+                )
+
+
 def finetune(train: Dataset, cfg: TrainConfig,
              init: EncoderParams) -> tuple[EncoderParams, TrainReport]:
     """Minimize the margin objective over the encoder parameters.
 
     Returns the best parameters seen (by end-of-epoch loss over the full
-    training set) and the per-epoch report.
+    training set) and the per-epoch report.  In mini-batch mode, a batch of
+    any epoch too small for its table raises CapacityError before any table
+    is built.
     """
     if init.widths != tuple(cfg.layer_sizes):
         raise DimensionError(
@@ -169,11 +193,13 @@ def finetune(train: Dataset, cfg: TrainConfig,
     features = train.features.astype(dtype, copy=False)
     x = flatten(template)
 
+    single_batch = cfg.batch_size >= len(train)
+    if not single_batch:
+        _check_batch_capacity(train, cfg)
     full_table = build_triples(train, cfg.neighbor_config)
     report = TrainReport()
     best_loss = np.inf
     best_x = x.copy()
-    single_batch = cfg.batch_size >= len(train)
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         if single_batch:

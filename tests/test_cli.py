@@ -11,7 +11,7 @@ from dnetknn.cli import main
 from dnetknn.dataset import load_csv, save_csv, save_idx
 from dnetknn.encoder import EncoderParams, Layer, load_checkpoint, save_checkpoint
 
-from _synthetic import make_digits
+from _synthetic import make_blobs, make_digits
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,19 @@ class TestFinetune:
             "--out", str(tmp_path / "o.dnkn"),
         ])
         assert code == 2
+
+    def test_under_filled_batch_exits_3(self, tmp_path, capsys):
+        save_csv(make_blobs(per_class=21, num_classes=10, dim=4, seed=0),
+                 tmp_path / "blobs.csv")
+        code = main([
+            "finetune", "--train-csv", str(tmp_path / "blobs.csv"),
+            "--init", "random", "--layers", "4,2", "--k", "2", "--m", "2",
+            "--batch", "100", "--epochs", "1", "--seed", "0",
+            "--out", str(tmp_path / "o.dnkn"),
+        ])
+        assert code == 3
+        assert "epoch 0, batch 2" in capsys.readouterr().err
+        assert not (tmp_path / "o.dnkn").exists()
 
     def test_random_init(self, digit_files, tmp_path):
         code = main([

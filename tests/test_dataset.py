@@ -6,6 +6,7 @@ import pytest
 from dnetknn.dataset import (
     Dataset,
     SplitSpec,
+    batch_indices,
     fixed_split,
     load_csv,
     load_idx,
@@ -190,6 +191,15 @@ class TestMakeBatches:
         assert [len(b) for b in batches] == [10, 10, 5]
         seen = np.concatenate([b.features.ravel() for b in batches])
         assert sorted(seen.tolist()) == list(range(25))
+
+    def test_rows_are_those_of_batch_indices(self):
+        data = make_digits(per_class=5, side=8, seed=2)
+        batches = make_batches(data, 15, seed=3)
+        indices = batch_indices(len(data), 15, seed=3)
+        assert len(batches) == len(indices) == 4
+        for batch, idx in zip(batches, indices):
+            np.testing.assert_array_equal(batch.features, data.features[idx])
+            np.testing.assert_array_equal(batch.labels, data.labels[idx])
 
     def test_single_batch_is_permutation(self):
         feats = np.arange(12, dtype=np.float64)[:, None]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,37 @@ class TestForward:
         params = random_params([6, 4, 2], seed=1)
         with pytest.raises(DimensionError):
             forward(params, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uncached_forward_matches_cached_bit_for_bit(self, dtype):
+        params = random_params([10, 7, 4, 3, 2], seed=5).astype(dtype)
+        x = np.random.default_rng(6).standard_normal((9, 10)).astype(dtype)
+        got = forward(params, x)
+        assert got.dtype == dtype
+        assert got.tobytes() == forward_with_cache(params, x)[0].tobytes()
+
+    def test_uncached_forward_holds_two_adjacent_layers(self):
+        rows, sizes = 3000, (784, 500, 500, 2000, 30)
+        params = init_encoder(sizes, seed=0)
+        x = np.random.default_rng(1).random((rows, 784))
+        peaks = []
+        for run in (forward, lambda p, v: forward_with_cache(p, v)[0]):
+            tracemalloc.start()
+            try:
+                run(params, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        uncached, cached = peaks
+        widest_pair = rows * (500 + 2000) * 8  # the 500 -> 2000 layer's input and output
+        assert uncached < cached
+        assert uncached <= 1.05 * widest_pair
+
+    def test_layer_needs_one_floating_dtype(self):
+        with pytest.raises(ConfigError):
+            Layer(np.zeros((3, 2), np.float32), np.zeros(2), LOGISTIC)
+        with pytest.raises(ConfigError):
+            Layer(np.zeros((3, 2), np.int64), np.zeros(2, np.int64), LOGISTIC)
 
 
 class TestFromRbmStack:

@@ -20,6 +20,16 @@ def oracle_nearest(dists, count, candidates):
     return candidates[np.argsort(dists, axis=1, kind="stable")[:, :count]]
 
 
+def oracle_sq_dists(a, b):
+    """The direct formula sq_dists evaluates in place: |a|^2 + |b|^2 - 2 a b^T,
+    clipped at zero, with three block-sized temporaries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        aa = (a * a).sum(axis=1)[:, None]
+        bb = (b * b).sum(axis=1)[None, :]
+        d = aa + bb - 2.0 * (a @ b.T)
+    return np.maximum(d, 0.0)
+
+
 def oracle_target_neighbors(data, k):
     """Quadratic reference: per anchor, same-class points sorted by
     (squared distance, index), exact arithmetic when features are integral."""
@@ -123,6 +133,32 @@ class TestNearest:
         big = np.array([[1e200, 0.0], [0.0, 1e200]])
         with pytest.raises(DivergenceError, match="overflow"):
             sq_dists(big, big)
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk_cells", [_CHUNK_CELLS, 7])
+    def test_matches_direct_formula_bit_for_bit(self, monkeypatch, dtype, chunk_cells):
+        monkeypatch.setattr(neighbors, "_CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(12)
+        shapes = [(1, 1, 3), (5, 9, 4), (40, 13, 30)]
+        if chunk_cells == _CHUNK_CELLS:
+            shapes.append((_CHUNK_CELLS // 500 + 3, 500, 8))  # more than one chunk
+        for rows, cols, dim in shapes:
+            a = (rng.standard_normal((rows, dim)) * 3).astype(dtype)
+            b = (rng.standard_normal((cols, dim)) * 3).astype(dtype)
+            b[0] = a[0]  # an exact zero distance
+            got = sq_dists(a, b)
+            assert got.dtype == dtype
+            assert got.tobytes() == oracle_sq_dists(a, b).tobytes()
+
+    def test_overflow_in_a_later_chunk_raises(self, monkeypatch):
+        monkeypatch.setattr(neighbors, "_CHUNK_CELLS", 4)
+        a = np.zeros((9, 2))
+        a[7] = [1e200, 0.0]
+        assert not np.isfinite(oracle_sq_dists(a, a)).all()
+        with pytest.raises(DivergenceError, match="overflow"):
+            sq_dists(a, a)
 
 
 def test_tables_match_full_sort_selection(monkeypatch):

@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from dnetknn.errors import CapacityError, ConfigError, DimensionError
+from dnetknn.errors import CapacityError, ConfigError, DimensionError, DivergenceError
 from dnetknn.rbm import (
     CdConfig,
     Rbm,
@@ -55,9 +57,98 @@ def oracle_joint(machine):
     return {k: val / z for k, val in table.items()}, vs, hs
 
 
+def ulp_distance(a, b):
+    """Units in the last place between two arrays of nonnegative floats."""
+    ints = np.int32 if a.dtype == np.float32 else np.int64
+    return np.abs(a.view(ints).astype(np.int64) - b.view(ints).astype(np.int64))
+
+
+def reference_train_rbm(data, num_hidden, cfg, rng):
+    """The allocating CD-1 loop that train_rbm replaced, kept as its oracle.
+
+    It forms every intermediate as a new array and rebuilds the machine per
+    mini-batch, with the same operations, draws and dtypes as train_rbm.
+    """
+    n, num_visible = data.shape
+    start = init_rbm(num_visible, num_hidden, rng, dtype=data.dtype)
+    w, b, c = start.weights.copy(), start.visible_bias.copy(), start.hidden_bias.copy()
+    vel_w, vel_b, vel_c = np.zeros_like(w), np.zeros_like(b), np.zeros_like(c)
+    lr, decay = cfg.learning_rate, cfg.weight_decay
+    history = []
+    for epoch in range(cfg.epochs):
+        mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
+        order = rng.permutation(n)
+        errs = []
+        for first in range(0, n, cfg.mini_batch):
+            batch = data[order[first : first + cfg.mini_batch]]
+            machine = Rbm(w, b, c)
+            ph0 = sigmoid(batch @ machine.weights + machine.hidden_bias)
+            h0 = (rng.random(ph0.shape) < ph0).astype(batch.dtype)
+            pv1 = sigmoid(h0 @ machine.weights.T + machine.visible_bias)
+            ph1 = sigmoid(pv1 @ machine.weights + machine.hidden_bias)
+            gw = (batch.T @ h0 - pv1.T @ ph1) / batch.shape[0]
+            gb = (batch - pv1).mean(axis=0)
+            gc = (h0 - ph1).mean(axis=0)
+            errs.append(float(((batch - pv1) ** 2).mean()))
+            vel_w = mom * vel_w + lr * (gw - decay * w)
+            vel_b = mom * vel_b + lr * gb
+            vel_c = mom * vel_c + lr * gc
+            w = w + vel_w
+            b = b + vel_b
+            c = c + vel_c
+        history.append(float(np.mean(errs)))
+    return Rbm(w, b, c), history
+
+
 class TestSigmoid:
     def test_symmetry_point(self):
         assert sigmoid(0.0) == 0.5
+
+    def test_float32_grid_within_4_ulp_of_expit(self):
+        # every 997th float32 bit pattern from 0 up to 104, and its negation
+        bits = np.arange(0, np.float32(104.0).view(np.int32), 997, dtype=np.int32)
+        z = bits.view(np.float32)
+        z = np.concatenate([z, -z])
+        got = sigmoid(z)
+        assert got.dtype == np.float32
+        assert ulp_distance(got, expit(z)).max() <= 4
+
+    def test_float64_draws_within_4_ulp_of_expit(self):
+        z = np.random.default_rng(0).uniform(-740.0, 740.0, size=10**6)
+        got = sigmoid(z)
+        assert got.dtype == np.float64
+        assert ulp_distance(got, expit(z)).max() <= 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exact_values_without_warnings(self, dtype):
+        z = np.array([0.0, 800.0, -800.0, 1e4, -1e4], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(z)
+            scalars = [sigmoid(v) for v in z]
+        np.testing.assert_array_equal(got, np.array([0.5, 1.0, 0.0, 1.0, 0.0], dtype))
+        assert scalars == [0.5, 1.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_equals_one_element_array(self, dtype):
+        for v in np.random.default_rng(1).uniform(-30, 30, size=50).astype(dtype):
+            scalar = sigmoid(v)
+            assert isinstance(scalar, float)
+            assert scalar == sigmoid(np.array([v]))[0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_may_alias_the_input(self, dtype):
+        z = np.random.default_rng(2).uniform(-30, 30, size=(7, 5)).astype(dtype)
+        expected = sigmoid(z)
+        got = sigmoid(z, out=z)
+        assert got is z
+        assert got.tobytes() == expected.tobytes()
+
+    def test_integers_promote_to_float64(self):
+        got = sigmoid(np.array([-3, 0, 3]))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, sigmoid(np.array([-3.0, 0.0, 3.0])))
+        assert sigmoid(0) == 0.5
 
     def test_saturation_no_overflow(self):
         assert sigmoid(800.0) == pytest.approx(1.0, abs=1e-300)
@@ -205,6 +296,39 @@ class TestTraining:
     def test_rejects_out_of_range_data(self):
         with pytest.raises(ConfigError):
             train_rbm(np.array([[1.5, 0.0]]), 2, CdConfig(epochs=1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_allocating_reference_bit_for_bit(self, dtype):
+        # 53 rows in mini-batches of 10 leave a ragged last batch; 5 epochs
+        # cross the momentum switch after epoch 2
+        data = make_digits(per_class=6, side=8, seed=4).features[:53].astype(dtype)
+        cfg = CdConfig(learning_rate=0.1, momentum=0.9, initial_momentum=0.5,
+                       momentum_switch_epoch=2, weight_decay=2e-4, epochs=5,
+                       mini_batch=10)
+        got, got_history = train_rbm(data, 12, cfg, np.random.default_rng(8))
+        want, want_history = reference_train_rbm(data, 12, cfg, np.random.default_rng(8))
+        for name in ("weights", "visible_bias", "hidden_bias"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes(), name
+        assert got_history == want_history
+
+    def test_float32_data_keeps_float32_parameters(self):
+        data = make_digits(per_class=2, side=8, seed=0).features.astype(np.float32)
+        machine, _ = train_rbm(data, 5, CdConfig(epochs=2, mini_batch=7))
+        assert machine.weights.dtype == np.float32
+        assert machine.visible_bias.dtype == np.float32
+        assert machine.hidden_bias.dtype == np.float32
+
+    def test_divergence_of_a_bias_is_caught(self):
+        # with no hidden units W is empty, so only the bias check can see the
+        # visible bias run off to infinity under a huge rate and momentum
+        data = np.ones((4, 3))
+        cfg = CdConfig(learning_rate=1e308, momentum=0.9, initial_momentum=0.9,
+                       weight_decay=0.0, epochs=3, mini_batch=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="diverged"):
+                train_rbm(data, 0, cfg, np.random.default_rng(0))
 
 
 class TestTrainStack:

@@ -13,7 +13,7 @@ from dnetknn.encoder import (
     save_checkpoint,
     unflatten,
 )
-from dnetknn.errors import ConfigError, DimensionError
+from dnetknn.errors import CapacityError, ConfigError, DimensionError
 from dnetknn.neighbors import NeighborConfig, build_triples
 from dnetknn.rbm import CdConfig, train_stack
 from dnetknn.trainer import TrainConfig, finetune, polak_ribiere_minimize
@@ -218,6 +218,31 @@ class TestFinetune:
         finetune(data, cfg, init_encoder((6, 4, 2), seed=0, weight_scale=0.5))
         assert len(seen) > 2 * (1 + cfg.cg_line_searches)
         assert set(seen) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("case", [
+        # 21 per class in batches of 100 leaves a 10-row tail without class 0
+        dict(per_class=21, num_classes=10, k=2, m=2, batch_size=100, epochs=1, seed=0,
+             message="epoch 0, batch 2 \\(10 rows\\): class 0 has 0 members"),
+        # epoch 0 splits feasibly; epoch 1's partition does not
+        dict(per_class=10, num_classes=3, k=2, m=3, batch_size=15, epochs=2, seed=7,
+             message="epoch 1, batch"),
+    ])
+    def test_under_filled_batch_fails_before_any_table(self, monkeypatch, case):
+        built = []
+
+        def counting_build_triples(*args):
+            built.append(args)
+            return build_triples(*args)
+
+        monkeypatch.setattr(trainer, "build_triples", counting_build_triples)
+        data = make_blobs(per_class=case["per_class"], num_classes=case["num_classes"],
+                          dim=4, seed=0)
+        cfg = TrainConfig(layer_sizes=(4, 2), k=case["k"], m=case["m"],
+                          batch_size=case["batch_size"], epochs=case["epochs"],
+                          cg_line_searches=1, seed=case["seed"])
+        with pytest.raises(CapacityError, match=case["message"]):
+            finetune(data, cfg, init_encoder((4, 2), seed=0))
+        assert built == []
 
 
 class TestPretrainThenFinetune:
