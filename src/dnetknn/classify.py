@@ -9,11 +9,10 @@ targets, its m nearest codes of every other class act as impostors, and
 the smallest hinge-energy sum wins (ties toward the smaller class id).
 Energy runs on batches of test points, from float64 distances whatever the
 code dtype.  Both search code space: a test point has no pixel-table row.
+Each returns a `PREDICTION` record array: one (label, score) per test point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +21,8 @@ from .neighbors import NeighborConfig, nearest, sq_dists
 
 _CHUNK_ROWS = 256
 
-
-@dataclass(frozen=True)
-class Prediction:
-    """Predicted class id with a score: the vote count for kNN, the negative
-    energy for energy mode."""
-
-    label: int
-    score: float
+# score is the vote count for kNN and the negative energy for energy mode
+PREDICTION = [("label", np.int64), ("score", np.float64)]
 
 
 def _checked(train_codes, train_labels, test_codes):
@@ -50,30 +43,40 @@ def _checked(train_codes, train_labels, test_codes):
     return train_codes, train_labels, test_codes
 
 
+def _predict(train_codes, test_codes, rule) -> np.recarray:
+    """One PREDICTION record per test code.  `rule` maps a chunk of test
+    rows' distances to every training code to their (labels, scores)."""
+    predictions = np.recarray(test_codes.shape[0], dtype=PREDICTION)
+    for start in range(0, len(predictions), _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        predictions.label[chunk], predictions.score[chunk] = rule(
+            sq_dists(test_codes[chunk], train_codes))
+    return predictions
+
+
 def knn_predict(train_codes: np.ndarray, train_labels: np.ndarray,
-                test_codes: np.ndarray, k: int) -> list[Prediction]:
+                test_codes: np.ndarray, k: int) -> np.recarray:
     """Majority vote among the k nearest training codes of each test code."""
     train_codes, train_labels, test_codes = _checked(train_codes, train_labels, test_codes)
     n = train_codes.shape[0]
     if not 1 <= k <= n:
         raise CapacityError(f"k={k} must lie in [1, {n}]")
     num_classes = int(train_labels.max()) + 1
-    predictions = []
-    for start in range(0, test_codes.shape[0], _CHUNK_ROWS):
-        dists = sq_dists(test_codes[start : start + _CHUNK_ROWS], train_codes)
+
+    def vote(dists):
         labels = train_labels[nearest(dists, k, np.arange(n))]  # (B, k), nearest first
         rows = np.arange(labels.shape[0])
         votes = np.zeros((rows.size, num_classes), dtype=np.int64)
         np.add.at(votes, (rows[:, None], labels), 1)
         counts = votes[rows[:, None], labels]  # the votes of each neighbor's class
         first = counts.argmax(axis=1)  # nearest neighbor among the top-voted classes
-        predictions += map(Prediction, labels[rows, first].tolist(),
-                           counts[rows, first].astype(np.float64).tolist())
-    return predictions
+        return labels[rows, first], counts[rows, first]
+
+    return _predict(train_codes, test_codes, vote)
 
 
 def energy_predict_all(train_codes, train_labels, test_codes,
-                       cfg: NeighborConfig) -> list[Prediction]:
+                       cfg: NeighborConfig) -> np.recarray:
     """Label each row of test_codes by the hypothesized class of lowest energy."""
     train_codes, train_labels, test_codes = _checked(train_codes, train_labels, test_codes)
     num_classes = int(train_labels.max()) + 1
@@ -85,10 +88,8 @@ def energy_predict_all(train_codes, train_labels, test_codes,
         if idx.size < need:
             raise CapacityError(
                 f"class {cls} has {idx.size} training codes; energy mode needs >= {need}")
-    train_codes, test_codes = train_codes.astype(np.float64), test_codes.astype(np.float64)
-    predictions = []
-    for start in range(0, test_codes.shape[0], _CHUNK_ROWS):
-        dists = sq_dists(test_codes[start : start + _CHUNK_ROWS], train_codes)
+
+    def lowest_energy(dists):
         # (B, c, need): each class's smallest distances, ascending
         near = np.stack([np.sort(np.partition(dists[:, i], need - 1, axis=1)[:, :need], axis=1)
                          for i in per_class], axis=1)
@@ -99,25 +100,22 @@ def energy_predict_all(train_codes, train_labels, test_codes,
             terms = 1.0 + target_d[:, :, None] - impostor_d[:, None, :]
             energies[:, hyp] = np.maximum(terms, 0.0).sum(axis=(1, 2))
         labels = energies.argmin(axis=1)  # argmin takes the smaller class id on ties
-        predictions += map(Prediction, labels.tolist(),
-                           (-energies[np.arange(labels.size), labels]).tolist())
-    return predictions
+        return labels, -energies[np.arange(labels.size), labels]
+
+    return _predict(train_codes.astype(np.float64), test_codes.astype(np.float64),
+                    lowest_energy)
 
 
-def error_rate(predictions, true_labels) -> float:
+def error_rate(predictions: np.recarray, true_labels) -> float:
     """Fraction of predictions whose label differs from the truth."""
-    if len(predictions) and isinstance(predictions[0], Prediction):
-        predicted = np.array([p.label for p in predictions], dtype=np.int64)
-    else:
-        predicted = np.asarray(predictions, dtype=np.int64)
     truth = np.asarray(true_labels, dtype=np.int64)
-    if predicted.shape != truth.shape:
+    if predictions.shape != truth.shape:
         raise ConsistencyError(
-            f"{predicted.shape[0]} predictions vs {truth.shape[0]} labels"
+            f"{len(predictions)} predictions vs {truth.shape[0]} labels"
         )
-    if predicted.size == 0:
+    if truth.size == 0:
         return 0.0
-    return float((predicted != truth).mean())
+    return float((predictions.label != truth).mean())
 
 
 def save_predictions(path, predictions, true_labels, header: bool = False) -> None:
@@ -130,5 +128,6 @@ def save_predictions(path, predictions, true_labels, header: bool = False) -> No
     with open(path, "w") as f:
         if header:
             f.write("index,true_label,predicted_label,score\n")
-        for idx, (pred, true) in enumerate(zip(predictions, truth)):
-            f.write(f"{idx},{true},{pred.label},{pred.score:.17g}\n")
+        for idx, (true, label, score) in enumerate(zip(
+                truth.tolist(), predictions.label.tolist(), predictions.score.tolist())):
+            f.write(f"{idx},{true},{label},{score:.17g}\n")

@@ -307,24 +307,19 @@ def _cmd_eval(cfg: dict) -> int:
     train_codes = encoder.forward(params, train.features)
     test_codes = encoder.forward(params, test.features)
 
-    rows = []
-    knn_preds = energy_preds = None
+    runs = []  # (row name, predictions), in output order
     if cfg["mode"] in ("knn", "both"):
-        knn_preds = classify.knn_predict(train_codes, train.labels, test_codes, cfg["k"])
-        rows.append(("dnet-knn", "test",
-                     100.0 * classify.error_rate(knn_preds, test.labels)))
+        runs.append(("dnet-knn", classify.knn_predict(
+            train_codes, train.labels, test_codes, cfg["k"])))
     if cfg["mode"] in ("energy", "both"):
-        energy_preds = classify.energy_predict_all(
-            train_codes, train.labels, test_codes, neighbor_cfg)
-        rows.append(("dnet-knn-e", "test",
-                     100.0 * classify.error_rate(energy_preds, test.labels)))
+        runs.append(("dnet-knn-e", classify.energy_predict_all(
+            train_codes, train.labels, test_codes, neighbor_cfg)))
     if cfg["baseline"] == "pixels":
-        preds = classify.knn_predict(train.features, train.labels,
-                                     test.features, cfg["k"])
-        rows.append(("knn-pixels", "test",
-                     100.0 * classify.error_rate(preds, test.labels)))
+        runs.append(("knn-pixels", classify.knn_predict(
+            train.features, train.labels, test.features, cfg["k"])))
 
-    lines = [f"{method},{split},{pct:.6g}" for method, split, pct in rows]
+    lines = [f"{method},test,{100.0 * classify.error_rate(preds, test.labels):.6g}"
+             for method, preds in runs]
     for line in lines:
         print(line)
     if cfg["out"]:
@@ -332,10 +327,9 @@ def _cmd_eval(cfg: dict) -> int:
             if cfg["header"]:
                 f.write("method,split,error_percent\n")
             f.write("\n".join(lines) + "\n")
-    if cfg["dump_predictions"]:  # kNN predictions when kNN ran, else energy ones
-        classify.save_predictions(cfg["dump_predictions"],
-                                  energy_preds if knn_preds is None else knn_preds,
-                                  test.labels, header=cfg["header"])
+    if cfg["dump_predictions"]:  # the first run: kNN when it ran, else energy
+        classify.save_predictions(cfg["dump_predictions"], runs[0][1], test.labels,
+                                  header=cfg["header"])
     written = cfg["out"] or cfg["dump_predictions"]
     if written:  # beside the first output; a run that writes no file writes none
         _write_manifest(written, "eval", cfg)
@@ -432,3 +426,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

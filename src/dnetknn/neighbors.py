@@ -139,19 +139,33 @@ def nearest(dists: np.ndarray, count: int, candidates: np.ndarray) -> np.ndarray
     return out
 
 
+def check_capacity(labels: np.ndarray, num_classes: int, k: int, m: int) -> None:
+    """Refuse classes too small for k target and m impostor neighbors each.
+
+    Targets need k + 1 members of every class id below num_classes (the
+    anchor is one of them); impostors need m members of every class, and a
+    second class.  k = 0 or m = 0 asks for none.
+    """
+    if m and num_classes < 2:
+        raise CapacityError("impostor selection needs at least two classes")
+    need = max(k + 1, m)
+    counts = np.bincount(labels, minlength=num_classes)
+    short = np.flatnonzero(counts < need)
+    if short.size:
+        cls = int(short[0])
+        raise CapacityError(f"class {cls} has {counts[cls]} members; "
+                            f"k={k} targets and m={m} impostors need >= {need}")
+
+
 def target_neighbors(train: Dataset, k: int) -> np.ndarray:
     """The k nearest same-class points of every anchor, self excluded.
 
     Returns an (n, k) array of global indices, each row sorted ascending.
     """
-    n = len(train)
-    out = np.empty((n, k), dtype=np.int64)
+    check_capacity(train.labels, train.num_classes, k, 0)
+    out = np.empty((len(train), k), dtype=np.int64)
     for cls in range(train.num_classes):
         idx = train.class_indices(cls)
-        if idx.size < k + 1:
-            raise CapacityError(
-                f"class {cls} has {idx.size} members; target neighbors need >= {k + 1}"
-            )
         d = sq_dists(train.features[idx], train.features[idx])
         np.fill_diagonal(d, np.inf)
         out[idx] = np.sort(nearest(d, k, idx), axis=1)
@@ -162,22 +176,11 @@ def impostor_neighbors(train: Dataset, m: int) -> np.ndarray:
     """The m nearest points from each foreign class, per anchor.
 
     Returns an (n, m*(c-1)) array of global indices, rows sorted ascending.
-    Raises CapacityError when any class is smaller than m or when there is
-    no foreign class at all.
     """
+    check_capacity(train.labels, train.num_classes, 0, m)
     c = train.num_classes
-    if c < 2:
-        raise CapacityError("impostor selection needs at least two classes")
-    n = len(train)
-    per_class = []
-    for cls in range(c):
-        idx = train.class_indices(cls)
-        if idx.size < m:
-            raise CapacityError(
-                f"class {cls} has {idx.size} members; impostor selection needs >= {m}"
-            )
-        per_class.append(idx)
-    out = np.empty((n, m * (c - 1)), dtype=np.int64)
+    per_class = [train.class_indices(cls) for cls in range(c)]
+    out = np.empty((len(train), m * (c - 1)), dtype=np.int64)
     for anchor_cls in range(c):
         a_idx = per_class[anchor_cls]
         blocks = []
@@ -195,8 +198,9 @@ def build_triples(train: Dataset, cfg: NeighborConfig) -> TriplesTable:
     """Cross product, per anchor, of its targets and its impostors.
 
     Row order is anchor-major, then target index ascending, then impostor
-    index ascending; the row count is n * k * (c-1) * m whenever the
-    capacity preconditions hold.
+    index ascending; the row count is n * k * (c-1) * m.  Class sizes are
+    checked by `check_capacity` before any distance block is formed.
     """
+    check_capacity(train.labels, train.num_classes, cfg.k, cfg.m)
     return TriplesTable(np.arange(len(train), dtype=np.int64),
                         target_neighbors(train, cfg.k), impostor_neighbors(train, cfg.m))

@@ -32,6 +32,7 @@ from .dataset import Dataset
 from .errors import CapacityError, ConfigError, DimensionError, DivergenceError
 
 ENUMERATION_LIMIT = 20  # max visible+hidden units for exact enumeration
+WEIGHT_SCALE = 0.01  # std of the initial weights
 
 
 def sigmoid(z, out=None):
@@ -116,9 +117,9 @@ class CdConfig:
 
 
 def init_rbm(num_visible: int, num_hidden: int, rng: np.random.Generator,
-             weight_scale: float = 0.01, dtype=np.float64) -> Rbm:
-    """Zero-mean Gaussian weights (std weight_scale), zero biases."""
-    w = (rng.standard_normal((num_visible, num_hidden)) * weight_scale).astype(dtype)
+             dtype=np.float64) -> Rbm:
+    """Zero-mean Gaussian weights (std WEIGHT_SCALE), zero biases."""
+    w = (rng.standard_normal((num_visible, num_hidden)) * WEIGHT_SCALE).astype(dtype)
     return Rbm(w, np.zeros(num_visible, dtype), np.zeros(num_hidden, dtype))
 
 

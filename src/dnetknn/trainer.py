@@ -21,7 +21,10 @@ from . import margin
 from .dataset import Dataset, batch_indices, make_batches
 from .encoder import EncoderParams, flatten, forward, unflatten
 from .errors import CapacityError, ConfigError, DimensionError, DivergenceError
-from .neighbors import NeighborConfig, build_triples
+from .neighbors import NeighborConfig, build_triples, check_capacity
+
+ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+MAX_BACKTRACKS = 30  # step halvings per line search before it gives up
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,8 @@ class TrainReport:
                 f.write(line + "\n")
 
 
-def polak_ribiere_minimize(objective, x0: np.ndarray, line_searches: int,
-                           armijo: float = 1e-4,
-                           backtracks: int = 30) -> tuple[np.ndarray, list[float]]:
+def polak_ribiere_minimize(objective, x0: np.ndarray,
+                           line_searches: int) -> tuple[np.ndarray, list[float]]:
     """Nonlinear conjugate gradient with PR+ direction updates.
 
     objective(x) -> (value, gradient_fn); gradient_fn() is the gradient at x.
@@ -121,13 +123,13 @@ def polak_ribiere_minimize(objective, x0: np.ndarray, line_searches: int,
         alpha = step
         accepted = False
         resolution = 1e-12 * (1.0 + abs(f0))
-        for _ in range(backtracks):
+        for _ in range(MAX_BACKTRACKS):
             if alpha * (-slope) < resolution:
                 break  # the demanded decrease is below float resolution of f
             gradient = None  # hold one point's evaluation at a time
             x_try = x + alpha * direction
             f_try, gradient = objective(x_try)
-            if np.isfinite(f_try) and f_try <= f0 + armijo * alpha * slope:
+            if np.isfinite(f_try) and f_try <= f0 + ARMIJO * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5
@@ -152,23 +154,17 @@ def polak_ribiere_minimize(objective, x0: np.ndarray, line_searches: int,
 def _check_batch_capacity(train: Dataset, cfg: TrainConfig) -> None:
     """Refuse a split whose batches cannot all hold a triples table.
 
-    Every batch of every epoch needs at least k + 1 members of each class
-    for its targets and at least m for its impostors.  Checked on the
-    partition indices alone, before any table is built.
+    Every batch of every epoch must pass `neighbors.check_capacity`.
+    Checked on the partition indices alone, before any table is built.
     """
-    need = max(cfg.k + 1, cfg.m)
     for epoch in range(cfg.epochs):
         for batch_idx, idx in enumerate(
                 batch_indices(len(train), cfg.batch_size, cfg.seed + epoch)):
-            counts = np.bincount(train.labels[idx], minlength=train.num_classes)
-            short = np.flatnonzero(counts < need)
-            if short.size:
-                cls = int(short[0])
+            try:
+                check_capacity(train.labels[idx], train.num_classes, cfg.k, cfg.m)
+            except CapacityError as exc:
                 raise CapacityError(
-                    f"epoch {epoch}, batch {batch_idx} ({idx.size} rows): class {cls} "
-                    f"has {counts[cls]} members; each batch needs >= {cfg.k + 1} "
-                    f"(k + 1) and >= {cfg.m} (m) of every class"
-                )
+                    f"epoch {epoch}, batch {batch_idx} ({idx.size} rows): {exc}") from None
 
 
 def finetune(train: Dataset, cfg: TrainConfig,
@@ -204,16 +200,16 @@ def finetune(train: Dataset, cfg: TrainConfig,
         started = time.perf_counter()
         if single_batch:
             # one batch holds the whole set every epoch, so the permutation
-            # only relabels rows; reuse the table built on the original order
-            batches = iter([(train, full_table)])
+            # only relabels rows; reuse the features and the table of the
+            # original order
+            batches = iter([(features, full_table)])
         else:
             batches = (
-                (batch, build_triples(batch, cfg.neighbor_config))
+                (batch.features.astype(dtype, copy=False),
+                 build_triples(batch, cfg.neighbor_config))
                 for batch in make_batches(train, cfg.batch_size, seed=cfg.seed + epoch)
             )
-        for batch_idx, (batch, table) in enumerate(batches):
-            batch_features = batch.features.astype(dtype, copy=False)
-
+        for batch_idx, (batch_features, table) in enumerate(batches):
             def objective(vec):
                 result, gradient = margin.loss_and_param_grad(
                     unflatten(template, vec), batch_features, table)

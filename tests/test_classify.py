@@ -3,7 +3,7 @@ import pytest
 
 from dnetknn.classify import (
     _CHUNK_ROWS,
-    Prediction,
+    PREDICTION,
     energy_predict_all,
     error_rate,
     knn_predict,
@@ -213,31 +213,47 @@ def test_classifiers_check_inputs(predict, n_train, labels, width, error):
         predict(train, labels, np.zeros((2, width)))
 
 
+def predictions(labels, scores=None):
+    """A PREDICTION record array with the given labels (scores default to 1)."""
+    out = np.recarray(len(labels), dtype=PREDICTION)
+    out.label = labels
+    out.score = 1.0 if scores is None else scores
+    return out
+
+
+@pytest.mark.parametrize("predict", [
+    lambda train, labels, test: knn_predict(train, labels, test, 3),
+    lambda train, labels, test: energy_predict_all(train, labels, test, NeighborConfig(2, 3)),
+], ids=["knn", "energy"])
+def test_classifiers_return_one_record_per_test_row(predict):
+    rng = np.random.default_rng(56)
+    train = rng.standard_normal((30, 3))
+    labels = np.repeat(np.arange(3), 10)
+    for rows in (0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 45):
+        preds = predict(train, labels, rng.standard_normal((rows, 3)))
+        assert isinstance(preds, np.recarray)
+        assert preds.dtype == np.dtype((np.record, PREDICTION))
+        assert preds.shape == (rows,)
+
+
 class TestErrorRate:
     def test_all_correct(self):
-        preds = [Prediction(1, 1.0), Prediction(0, 1.0)]
-        assert error_rate(preds, [1, 0]) == 0.0
+        assert error_rate(predictions([1, 0]), [1, 0]) == 0.0
 
     def test_all_wrong(self):
-        preds = [Prediction(1, 1.0), Prediction(0, 1.0)]
-        assert error_rate(preds, [0, 1]) == 1.0
+        assert error_rate(predictions([1, 0]), [0, 1]) == 1.0
 
     def test_counting(self):
-        preds = [Prediction(0, 1.0)] * 97 + [Prediction(1, 1.0)] * 3
-        assert error_rate(preds, [0] * 100) == pytest.approx(0.03)
-
-    def test_plain_label_arrays_accepted(self):
-        assert error_rate(np.array([1, 2, 3]), np.array([1, 0, 3])) == pytest.approx(1 / 3)
+        assert error_rate(predictions([0] * 97 + [1] * 3), [0] * 100) == pytest.approx(0.03)
 
     def test_length_mismatch(self):
         with pytest.raises(ConsistencyError):
-            error_rate([Prediction(0, 1.0)], [0, 1])
+            error_rate(predictions([0]), [0, 1])
 
 
 def test_save_predictions(tmp_path):
-    preds = [Prediction(3, 2.0), Prediction(1, -4.5)]
     path = tmp_path / "preds.csv"
-    save_predictions(path, preds, [3, 0], header=True)
+    save_predictions(path, predictions([3, 1], [2.0, -4.5]), [3, 0], header=True)
     lines = path.read_text().splitlines()
     assert lines[0] == "index,true_label,predicted_label,score"
     assert lines[1] == "0,3,3,2"

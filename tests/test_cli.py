@@ -453,10 +453,14 @@ def test_threads_refused_once_numpy_is_loaded(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
-def test_threads_applies_in_a_fresh_process(digit_files, tmp_path):
+def _package_env():
+    """The environment with this checkout's package first on the path."""
     src = str(Path(dnetknn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_threads_applies_in_a_fresh_process(digit_files, tmp_path):
     script = ("import os, sys; from dnetknn.cli import entrypoint\n"
               "assert 'numpy' not in sys.modules\n"
               "try:\n    entrypoint()\n"
@@ -466,6 +470,20 @@ def test_threads_applies_in_a_fresh_process(digit_files, tmp_path):
          "--csv", str(digit_files / "train.csv"), "--per-class-train", "2",
          "--per-class-test", "1", "--out-train", str(tmp_path / "tr.csv"),
          "--out-test", str(tmp_path / "te.csv")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_package_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert len(load_csv(tmp_path / "tr.csv")) == 20
+
+
+def test_runs_as_a_module(digit_files, tmp_path):
+    # `python -m dnetknn.cli` runs the command, --threads included
+    done = subprocess.run(
+        [sys.executable, "-m", "dnetknn.cli", "--threads", "1", "split",
+         "--csv", str(digit_files / "train.csv"), "--per-class-train", "2",
+         "--per-class-test", "1", "--out-train", str(tmp_path / "tr.csv"),
+         "--out-test", str(tmp_path / "te.csv")],
+        env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "wrote 20 train rows" in done.stdout
+    assert len(load_csv(tmp_path / "tr.csv")) == 20
+    assert len(load_csv(tmp_path / "te.csv")) == 10

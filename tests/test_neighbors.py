@@ -268,6 +268,20 @@ class TestBuildTriples:
         with pytest.raises(CapacityError):
             build_triples(data, NeighborConfig(k=1, m=1))
 
+    def test_oversized_m_fails_before_any_block(self, monkeypatch):
+        blocks = []
+
+        def counting_sq_dists(a, b):
+            blocks.append((a.shape, b.shape))
+            return sq_dists(a, b)
+
+        monkeypatch.setattr(neighbors, "sq_dists", counting_sq_dists)
+        rng = np.random.default_rng(9)
+        data = Dataset(rng.random((200, 4)), np.repeat(np.arange(10), 20), 10)
+        with pytest.raises(CapacityError, match="class 0 has 20 members"):
+            build_triples(data, NeighborConfig(k=5, m=25))
+        assert blocks == []
+
     def test_index_storage_is_linear_in_neighbors(self):
         rng = np.random.default_rng(8)
         data = integer_dataset(rng, n_range=(50, 51), classes_range=(3, 4))
