@@ -70,6 +70,8 @@ def _layers(text: str) -> tuple[int, ...]:
     sizes = tuple(int(part) for part in text.split(","))
     if len(sizes) < 2:
         raise ValueError("a layer spec needs at least two sizes")
+    if min(sizes) < 1:
+        raise ValueError("every layer width must be >= 1")
     return sizes
 
 
@@ -242,7 +244,6 @@ def _cmd_pretrain(cfg: dict) -> int:
         cfg["seed"] = 0
     from . import encoder, rbm
 
-    data = _load_split(cfg, "train")
     cd = rbm.CdConfig(
         learning_rate=cfg["lr"],
         momentum=cfg["momentum"],
@@ -252,6 +253,7 @@ def _cmd_pretrain(cfg: dict) -> int:
         mini_batch=cfg["mini_batch"],
         seed=cfg["seed"],
     )
+    data = _load_split(cfg, "train")
     stack = rbm.train_stack(data, cfg["layers"], cd)
     params = encoder.from_rbm_stack(stack)
     encoder.save_checkpoint(params, cfg["out"])
@@ -272,7 +274,6 @@ def _cmd_finetune(cfg: dict) -> int:
         if cfg["layers"] is not None and cfg["layers"] != init_params.widths:
             raise ConfigError(f"--layers {cfg['layers']} differs from the widths "
                               f"{init_params.widths} of {cfg['init']}")
-    data = _load_split(cfg, "train")
     train_cfg = trainer.TrainConfig(
         layer_sizes=init_params.widths,
         k=cfg["k"],
@@ -283,6 +284,7 @@ def _cmd_finetune(cfg: dict) -> int:
         seed=cfg["seed"],
         dtype=cfg["dtype"],
     )
+    data = _load_split(cfg, "train")
     params, report = trainer.finetune(data, train_cfg, init_params)
     encoder.save_checkpoint(params.astype("float64"), cfg["out"])
     report_path = cfg["report"] or (str(cfg["out"]) + ".report.csv")

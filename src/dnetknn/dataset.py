@@ -141,27 +141,21 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(features, labels, num_classes)
 
 
-def save_idx(data: Dataset, images_path, labels_path, rows: int | None = None,
-             cols: int | None = None) -> None:
-    """Write a Dataset as an IDX pair (inverse of :func:`load_idx`).
+def save_idx(data: Dataset, images_path, labels_path) -> None:
+    """Write a Dataset as an IDX pair of square images (inverse of
+    :func:`load_idx`).
 
     Features are scaled back by 255 and rounded to bytes, so the round trip
-    is exact only for data that originated as 8-bit pixels.  When rows/cols
-    are omitted the feature length must be a perfect square.
+    is exact only for data that originated as 8-bit pixels.  The feature
+    length must be a perfect square.
     """
     n = len(data)
-    if rows is None or cols is None:
-        side = int(round(data.dim ** 0.5))
-        if side * side != data.dim:
-            raise ConfigError(
-                f"feature length {data.dim} is not square; pass rows and cols"
-            )
-        rows = cols = side
-    if rows * cols != data.dim:
-        raise ConsistencyError(f"rows*cols={rows * cols} != feature length {data.dim}")
+    side = int(round(data.dim ** 0.5))
+    if side * side != data.dim:
+        raise ConfigError(f"feature length {data.dim} is not square")
     pixels = np.clip(np.round(data.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
+        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, side, side))
         f.write(pixels.tobytes())
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, n))

@@ -86,21 +86,14 @@ class EncoderParams:
         ))
 
 
-@dataclass(frozen=True)
-class ForwardCache:
-    """Per-layer activations retained by forward() for use in backward()."""
-
-    activations: tuple[np.ndarray, ...]  # input, then each layer's output
-
-
 def standard_activations(num_layers: int) -> tuple[int, ...]:
     """Logistic hidden layers, linear code layer (a single layer is the code layer)."""
     return (LOGISTIC,) * (num_layers - 1) + (LINEAR,)
 
 
-def init_encoder(layer_sizes, seed: int = 0, weight_scale: float = 0.01,
-                 dtype=np.float64) -> EncoderParams:
-    """Random encoder: zero-mean Gaussian weights (std weight_scale), zero biases."""
+def init_encoder(layer_sizes, seed: int = 0, weight_scale: float = 0.01) -> EncoderParams:
+    """Random float64 encoder: zero-mean Gaussian weights (std weight_scale),
+    zero biases."""
     sizes = list(layer_sizes)
     if len(sizes) < 2:
         raise ConfigError("layer_sizes needs at least an input and an output width")
@@ -108,8 +101,8 @@ def init_encoder(layer_sizes, seed: int = 0, weight_scale: float = 0.01,
     acts = standard_activations(len(sizes) - 1)
     layers = []
     for (n_in, n_out), act in zip(zip(sizes, sizes[1:]), acts):
-        w = (rng.standard_normal((n_in, n_out)) * weight_scale).astype(dtype)
-        layers.append(Layer(w, np.zeros(n_out, dtype), act))
+        w = rng.standard_normal((n_in, n_out)) * weight_scale
+        layers.append(Layer(w, np.zeros(n_out), act))
     return EncoderParams(tuple(layers))
 
 
@@ -153,28 +146,30 @@ def forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def forward_with_cache(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Codes plus every layer's activation, as backward() needs them."""
+def forward_with_cache(params: EncoderParams,
+                       x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Codes plus every activation backward() needs: the input, then each
+    layer's output."""
     acts = [_input_rows(params, x)]
     for layer in params.layers:
         acts.append(_apply(layer, acts[-1]))
-    return acts[-1], ForwardCache(tuple(acts))
+    return acts[-1], tuple(acts)
 
 
-def backward(params: EncoderParams, cache: ForwardCache,
+def backward(params: EncoderParams, acts: tuple[np.ndarray, ...],
              code_grad: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Reverse-mode gradients of a scalar loss given its gradient at the codes.
 
-    Returns one (dW, dbias) pair per layer, shapes mirroring the parameters.
+    `acts` are the activations from forward_with_cache.  Returns one
+    (dW, dbias) pair per layer, shapes mirroring the parameters.
     """
-    acts = cache.activations
     if len(acts) != len(params.layers) + 1:
         raise ConsistencyError(
-            f"cache holds {len(acts)} activations for {len(params.layers)} layers"
+            f"{len(acts)} activations for {len(params.layers)} layers"
         )
     for layer, a_in, a_out in zip(params.layers, acts, acts[1:]):
         if a_in.shape[1] != layer.weights.shape[0] or a_out.shape[1] != layer.weights.shape[1]:
-            raise ConsistencyError("cache does not match these parameters")
+            raise ConsistencyError("activations do not match these parameters")
     code_grad = np.asarray(code_grad)
     if code_grad.shape != acts[-1].shape:
         raise ConsistencyError(

@@ -23,7 +23,9 @@ gradient, which is algebraically the per-point pull/push sum:
 so each (anchor, target) pair is weighted by its active impostors and each
 (anchor, impostor) pair by its active targets.  The scatter is a
 graph-Laplacian product over those signed pair weights, which keeps the
-whole pass vectorized and reproducible.
+whole pass vectorized and reproducible.  Row i of the table is anchor i, so
+the weights of each neighbor kind form a CSR matrix straight from the
+table's rows.
 
 The gradient entry points return the value and a function that computes the
 gradient from the same pass, so testing a point never pays for the scatter.
@@ -54,39 +56,23 @@ class MarginLoss:
 _CHUNK_ROWS = 1 << 16
 
 
-def _check_indices(codes: np.ndarray, table: TriplesTable) -> None:
-    for indices in (table.anchors, table.targets, table.impostors):
-        if indices.size and (indices.min() < 0 or indices.max() >= codes.shape[0]):
-            raise ConsistencyError(
-                f"triple indices must lie in [0, {codes.shape[0]}), "
-                f"found range [{indices.min()}, {indices.max()}]"
-            )
-
-
 def _sq_norms(diff: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=-1)
-
-
-def _scatter_pair_grad(grad: np.ndarray, codes: np.ndarray, a: np.ndarray,
-                       b: np.ndarray, weights: np.ndarray) -> None:
-    """Add 2 * w * [(y_a - y_b) into row a, (y_b - y_a) into row b] per pair."""
-    n = codes.shape[0]
-    w = sparse.csr_matrix((weights.astype(np.float64), (a, b)), shape=(n, n))
-    deg = np.asarray(w.sum(axis=1)).ravel() + np.asarray(w.sum(axis=0)).ravel()
-    grad += 2.0 * (deg[:, None] * codes - w @ codes - w.T @ codes)
 
 
 def _hinge_pass(codes: np.ndarray, table: TriplesTable,
                 target_w: np.ndarray | None = None,
                 impostor_w: np.ndarray | None = None) -> MarginLoss:
     """Value and active-row count, scanned in anchor chunks.  When given,
-    target_w (A, k) and impostor_w (A, M) receive each pair's active rows."""
-    _check_indices(codes, table)
+    target_w (n, k) and impostor_w (n, M) receive each pair's active rows."""
+    n, k = table.targets.shape
+    if codes.shape[0] != n:
+        raise ConsistencyError(f"{codes.shape[0]} code rows for a table of {n} anchors")
     value, active = 0.0, 0
-    step = max(1, _CHUNK_ROWS // max(1, table.targets.shape[1] * table.impostors.shape[1]))
-    for start in range(0, table.anchors.shape[0], step):
+    step = max(1, _CHUNK_ROWS // max(1, k * table.impostors.shape[1]))
+    for start in range(0, n, step):
         chunk = slice(start, start + step)
-        anchor = codes[table.anchors[chunk]][:, None, :]
+        anchor = codes[chunk][:, None, :]
         d_target = _sq_norms(codes[table.targets[chunk]] - anchor)
         d_impostor = _sq_norms(codes[table.impostors[chunk]] - anchor)
         z = 1.0 + d_target[:, :, None] - d_impostor[:, None, :]
@@ -117,10 +103,16 @@ def loss_and_code_grad(codes: np.ndarray,
     def gradient() -> np.ndarray:
         grad = np.zeros_like(codes)
         if result.active_triples:
+            n = codes.shape[0]
             for others, weights in ((table.targets, target_w), (table.impostors, -impostor_w)):
                 used = weights != 0
-                anchors = np.broadcast_to(table.anchors[:, None], others.shape)
-                _scatter_pair_grad(grad, codes, anchors[used], others[used], weights[used])
+                indptr = np.zeros(n + 1, dtype=np.int64)
+                np.cumsum(np.count_nonzero(used, axis=1), out=indptr[1:])
+                w = sparse.csr_matrix((weights[used].astype(np.float64), others[used], indptr),
+                                      shape=(n, n))
+                # 2 w_ab [(y_a - y_b) into row a, (y_b - y_a) into row b] per pair
+                deg = np.asarray(w.sum(axis=1)).ravel() + np.asarray(w.sum(axis=0)).ravel()
+                grad += 2.0 * (deg[:, None] * codes - w @ codes - w.T @ codes)
         return grad
     return result, gradient
 
@@ -131,6 +123,6 @@ def loss_and_param_grad(params: EncoderParams, batch: np.ndarray,
     that returns the flattened parameter gradient, lined up with
     encoder.flatten(params).  It reuses this call's activations and hinge
     pass, so it runs only the scatter and `backward`."""
-    codes, cache = forward_with_cache(params, batch)
+    codes, acts = forward_with_cache(params, batch)
     result, code_grad = loss_and_code_grad(codes, table)
-    return result, lambda: flatten_gradients(backward(params, cache, code_grad()))
+    return result, lambda: flatten_gradients(backward(params, acts, code_grad()))

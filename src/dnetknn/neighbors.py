@@ -10,9 +10,9 @@ column below it and the tied columns in index order, and sorts only the
 chosen few.  `sq_dists` refuses non-finite distances, so that order is
 never asked of a NaN.
 
-The table stays factored: per anchor, its k targets and its M = m * (c-1)
-impostors, n * (1 + k + M) indices in all.  Its n * k * M rows are that
-per-anchor cross product and are materialized only on request.
+The table stays factored: row i holds anchor i's k targets and its
+M = m * (c-1) impostors, n * (k + M) indices in all.  Its n * k * M rows
+are that per-anchor cross product and are materialized only on request.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import CapacityError, ConfigError, DivergenceError
+from .errors import CapacityError, ConfigError, ConsistencyError, DivergenceError
 
 # distance-block cells per step of `sq_dists` and `nearest`: bounds their temporaries
 _CHUNK_CELLS = 1 << 20
@@ -45,41 +45,46 @@ class NeighborConfig:
 @dataclass(frozen=True)
 class TriplesTable:
     """(anchor i, same-class target l, foreign impostor j) triples, factored
-    per anchor.
+    per anchor: row i of both arrays belongs to anchor i.
 
-    The rows are every (anchors[a], targets[a, t], impostors[a, s]): each
-    anchor's targets crossed with its impostors.  Storage is A * (1 + k + M)
-    indices for A * k * M rows; a set of arbitrary rows is the k = M = 1
-    case.
+    The rows are every (i, targets[i, t], impostors[i, s]): each anchor's
+    targets crossed with its impostors.  Storage is n * (k + M) indices for
+    n * k * M rows.  Every index is checked once, here, to lie in [0, n).
     """
 
-    anchors: np.ndarray  # (A,) int64
-    targets: np.ndarray  # (A, k) int64
-    impostors: np.ndarray  # (A, M) int64
+    targets: np.ndarray  # (n, k) int64
+    impostors: np.ndarray  # (n, M) int64
 
     def __post_init__(self):
-        for name in ("anchors", "targets", "impostors"):
+        for name in ("targets", "impostors"):
             arr = np.asarray(getattr(self, name), dtype=np.int64).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        a, t, i = self.anchors, self.targets, self.impostors
-        if a.ndim != 1 or t.ndim != 2 or i.ndim != 2 or \
-                not a.shape[0] == t.shape[0] == i.shape[0]:
+        t, i = self.targets, self.impostors
+        if t.ndim != 2 or i.ndim != 2 or t.shape[0] != i.shape[0]:
             raise ConfigError(
-                f"triples need anchors (A,), targets (A, k) and impostors (A, M), "
-                f"got {a.shape}, {t.shape} and {i.shape}"
+                f"triples need targets (n, k) and impostors (n, M), "
+                f"got {t.shape} and {i.shape}"
             )
+        n = t.shape[0]
+        for indices in (t, i):
+            if indices.size and (indices.min() < 0 or indices.max() >= n):
+                raise ConsistencyError(
+                    f"triple indices must lie in [0, {n}), "
+                    f"found range [{indices.min()}, {indices.max()}]"
+                )
 
     def __len__(self) -> int:
-        return self.anchors.shape[0] * self.targets.shape[1] * self.impostors.shape[1]
+        return self.targets.shape[0] * self.targets.shape[1] * self.impostors.shape[1]
 
     @property
     def rows(self) -> np.ndarray:
         """The (T, 3) row array, built on demand: anchor-major, then target
         column, then impostor column."""
-        k, m = self.targets.shape[1], self.impostors.shape[1]
+        n, k = self.targets.shape
+        m = self.impostors.shape[1]
         return np.column_stack((
-            np.repeat(self.anchors, k * m),
+            np.repeat(np.arange(n, dtype=np.int64), k * m),
             np.repeat(self.targets, m, axis=1).ravel(),
             np.tile(self.impostors, (1, k)).ravel(),
         ))
@@ -202,5 +207,4 @@ def build_triples(train: Dataset, cfg: NeighborConfig) -> TriplesTable:
     checked by `check_capacity` before any distance block is formed.
     """
     check_capacity(train.labels, train.num_classes, cfg.k, cfg.m)
-    return TriplesTable(np.arange(len(train), dtype=np.int64),
-                        target_neighbors(train, cfg.k), impostor_neighbors(train, cfg.m))
+    return TriplesTable(target_neighbors(train, cfg.k), impostor_neighbors(train, cfg.m))

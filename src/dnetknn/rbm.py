@@ -33,6 +33,7 @@ from .errors import CapacityError, ConfigError, DimensionError, DivergenceError
 
 ENUMERATION_LIMIT = 20  # max visible+hidden units for exact enumeration
 WEIGHT_SCALE = 0.01  # std of the initial weights
+MOMENTUM_SWITCH_EPOCH = 5  # epochs trained at initial_momentum before momentum
 
 
 def sigmoid(z, out=None):
@@ -91,25 +92,24 @@ class CdConfig:
     """Hyperparameters for contrastive-divergence training.
 
     Momentum follows the usual pretraining schedule: initial_momentum for
-    the first momentum_switch_epoch epochs, then momentum.
+    the first MOMENTUM_SWITCH_EPOCH epochs, then momentum.
     """
 
     learning_rate: float = 0.1
     momentum: float = 0.9
     initial_momentum: float = 0.5
-    momentum_switch_epoch: int = 5
     weight_decay: float = 2e-4
     epochs: int = 10
     mini_batch: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be nonnegative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and nonnegative")
         if not (0 <= self.momentum < 1 and 0 <= self.initial_momentum < 1):
             raise ConfigError("momentum values must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be nonnegative")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight_decay must be finite and nonnegative")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.mini_batch < 1:
@@ -170,7 +170,7 @@ def train_rbm(data: np.ndarray, num_hidden: int, cfg: CdConfig,
     lr, decay = cfg.learning_rate, cfg.weight_decay
     history = []
     for epoch in range(cfg.epochs):
-        mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
+        mom = cfg.initial_momentum if epoch < MOMENTUM_SWITCH_EPOCH else cfg.momentum
         order = rng.permutation(n)
         errs = []
         for start in range(0, n, cfg.mini_batch):

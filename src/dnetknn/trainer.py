@@ -83,10 +83,8 @@ class TrainReport:
             for idx, e in enumerate(self.epochs)
         ]
 
-    def save(self, path, header: bool = False) -> None:
+    def save(self, path) -> None:
         with open(path, "w") as f:
-            if header:
-                f.write("epoch,loss,active_triples,seconds\n")
             for line in self.to_lines():
                 f.write(line + "\n")
 
@@ -172,14 +170,17 @@ def finetune(train: Dataset, cfg: TrainConfig,
     """Minimize the margin objective over the encoder parameters.
 
     Returns the best parameters seen (by end-of-epoch loss over the full
-    training set) and the per-epoch report.  In mini-batch mode, a batch of
-    any epoch too small for its table raises CapacityError before any table
-    is built.
+    training set) and the per-epoch report.  An encoder whose input width
+    is not the data's raises DimensionError, and in mini-batch mode a batch
+    of any epoch too small for its table raises CapacityError, both before
+    any table is built.
     """
     if init.widths != tuple(cfg.layer_sizes):
         raise DimensionError(
             f"init widths {init.widths} do not match layer_sizes {tuple(cfg.layer_sizes)}"
         )
+    if init.widths[0] != train.dim:
+        raise DimensionError(f"encoder input width {init.widths[0]} != data dim {train.dim}")
     if cfg.batch_size < 2 * train.num_classes:
         raise ConfigError(
             f"batch_size {cfg.batch_size} < 2 * num_classes ({2 * train.num_classes})"

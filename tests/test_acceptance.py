@@ -40,7 +40,7 @@ from dnetknn.rbm import (
 from dnetknn.trainer import TrainConfig, finetune
 
 from _synthetic import make_blobs, make_digits
-from test_margin import fd_gradient, norm_relative_error, random_triples
+from test_margin import fd_gradient, norm_relative_error, random_table
 from test_neighbors import integer_dataset, oracle_triples
 from test_rbm import oracle_joint, random_rbm
 
@@ -327,9 +327,9 @@ def test_criterion_8_invariance_suite(tmp_path):
     for case in range(100):
         n, d = int(rng.integers(8, 24)), int(rng.integers(2, 5))
         labels = rng.integers(0, 2, size=n)
-        labels[:2] = [0, 1]
+        labels[:4] = [0, 1, 0, 1]
         codes = rng.standard_normal((n, d)) * rng.uniform(0.2, 3.0)
-        table = random_triples(rng, labels, int(rng.integers(4, 60)))
+        table = random_table(rng, labels, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
         base = margin.loss(codes, table)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         moved = codes @ q + rng.standard_normal(d)
@@ -360,9 +360,9 @@ def test_criterion_8_invariance_suite(tmp_path):
     for case in range(100):
         n = int(rng.integers(6, 20))
         labels = rng.integers(0, 2, size=n)
-        labels[:2] = [0, 1]
+        labels[:4] = [0, 1, 0, 1]
         codes = rng.standard_normal((n, 3)) * rng.uniform(0.05, 5.0)
-        table = random_triples(rng, labels, int(rng.integers(3, 40)))
+        table = random_table(rng, labels, int(rng.integers(1, 3)), int(rng.integers(1, 4)))
         result = margin.loss(codes, table)
         if (result.value == 0.0) != (result.active_triples == 0):
             failures.append(f"zero-iff-inactive case {case}")

@@ -94,6 +94,32 @@ class TestPretrain:
         assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--layers", "6,-5"],
+    ["pretrain", "--layers", "6,0,2"],
+    ["finetune", "--init", "random", "--layers", "6,-1"],
+])
+def test_non_positive_layer_width_exits_2_before_reading_data(tmp_path, argv, capsys):
+    code = main(argv + ["--train-csv", str(tmp_path / "absent.csv"),
+                        "--out", str(tmp_path / "o.dnkn")])
+    assert code == 2  # reading the missing file would exit 3
+    assert "every layer width must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["pretrain", "--layers", "6,2", "--lr", "nan"], "learning_rate"),
+    (["pretrain", "--layers", "6,2", "--weight-decay", "inf"], "weight_decay"),
+    (["finetune", "--init", "random", "--layers", "6,2", "--batch", "1"], "batch_size"),
+    (["finetune", "--init", "random", "--layers", "6,2", "--cg-iters", "0"],
+     "cg_line_searches"),
+])
+def test_bad_training_config_exits_2_before_reading_data(tmp_path, argv, field, capsys):
+    code = main(argv + ["--train-csv", str(tmp_path / "absent.csv"),
+                        "--out", str(tmp_path / "o.dnkn")])
+    assert code == 2  # reading the missing file would exit 3
+    assert field in capsys.readouterr().err
+
+
 class TestFinetune:
     def test_report_written(self, finetuned):
         report = (finetuned.parent / (finetuned.name + ".report.csv")).read_text()

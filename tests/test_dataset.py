@@ -94,6 +94,11 @@ class TestLoadIdx:
         np.testing.assert_array_equal(again.features, data.features)
         np.testing.assert_array_equal(again.labels, data.labels)
 
+    def test_save_needs_square_images(self, tmp_path):
+        data = Dataset(np.zeros((2, 6)), np.array([0, 1]), 2)
+        with pytest.raises(ConfigError, match="feature length 6 is not square"):
+            save_idx(data, tmp_path / "i.idx", tmp_path / "l.idx")
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

@@ -70,8 +70,9 @@ class TestForward:
             Layer(np.zeros((3, 4)), np.zeros(4), LOGISTIC),
             Layer(np.zeros((4, 2)), np.zeros(2), LINEAR),
         ))
-        codes, cache = forward_with_cache(params, np.ones((5, 3)))
-        np.testing.assert_array_equal(cache.activations[1], 0.5)
+        codes, acts = forward_with_cache(params, np.ones((5, 3)))
+        assert len(acts) == 3 and acts[-1] is codes
+        np.testing.assert_array_equal(acts[1], 0.5)
         np.testing.assert_array_equal(codes, 0.0)
 
     def test_single_linear_layer_is_matrix_product(self):
@@ -223,6 +224,9 @@ class TestBackward:
         _, cache = forward_with_cache(other, x)
         with pytest.raises(ConsistencyError):
             backward(params, cache, np.zeros((2, 3)))
+        _, cache = forward_with_cache(params, x)
+        with pytest.raises(ConsistencyError, match="2 activations for 2 layers"):
+            backward(params, cache[1:], np.zeros((2, 3)))
 
     def test_code_grad_shape_mismatch(self):
         params = random_params([5, 4, 3], seed=14)

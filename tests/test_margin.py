@@ -46,26 +46,18 @@ def oracle_loss_and_grad(codes, rows):
     return total, active, grad
 
 
-def rows_table(rows):
-    """A table of arbitrary (i, l, j) rows: one target and one impostor per
-    anchor entry."""
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-    return TriplesTable(rows[:, 0], rows[:, 1:2], rows[:, 2:3])
-
-
-def random_triples(rng, labels, count):
-    """Random valid rows: same-class target, foreign impostor."""
+def random_table(rng, labels, k, impostors):
+    """A random complete table: row i holds k same-class targets (never i)
+    and `impostors` foreign points, drawn with replacement, so a row may
+    repeat an index and its indices are in no particular order."""
     n = labels.size
-    rows = []
-    while len(rows) < count:
-        i = int(rng.integers(n))
+    targets = np.empty((n, k), dtype=np.int64)
+    foreign = np.empty((n, impostors), dtype=np.int64)
+    for i in range(n):
         same = np.flatnonzero(labels == labels[i])
-        other = np.flatnonzero(labels != labels[i])
-        same = same[same != i]
-        if same.size == 0 or other.size == 0:
-            continue
-        rows.append((i, int(rng.choice(same)), int(rng.choice(other))))
-    return rows_table(rows)
+        targets[i] = rng.choice(same[same != i], size=k)
+        foreign[i] = rng.choice(np.flatnonzero(labels != labels[i]), size=impostors)
+    return TriplesTable(targets, foreign)
 
 
 def norm_relative_error(analytic, numeric):
@@ -97,42 +89,68 @@ def param_grad(params, batch, table):
 
 class TestLossAndCodeGrad:
     def test_inactive_single_triple(self):
+        # rows (0, 1, 2), (1, 0, 2) and (2, 1, 0): z = -7, -2 and -4
         codes = np.array([[0.0], [1.0], [3.0]])
-        table = rows_table([[0, 1, 2]])
+        table = TriplesTable([[1], [0], [1]], [[2], [2], [0]])
         result, grad = code_grad(codes, table)
         assert result.value == 0.0
         assert result.active_triples == 0
         assert not grad.any()
 
     def test_hand_evaluated_single_triple(self):
-        codes = np.array([[0.0], [1.0], [1.2]])
-        table = rows_table([[0, 1, 2]])
+        # only row (0, 1, 2) is active: anchors 1-3 take themselves as target
+        # and a point at least 98 away as impostor
+        codes = np.array([[0.0], [1.0], [1.2], [100.0]])
+        table = TriplesTable([[1], [1], [2], [3]], [[2], [3], [3], [0]])
         result, grad = code_grad(codes, table)
         assert result.value == pytest.approx(0.56, abs=1e-12)
         assert result.active_triples == 1
         # d/dy0: 2(y0-y1) - 2(y0-y2) = -2 + 2.4 = 0.4
-        np.testing.assert_allclose(grad.ravel(), [0.4, 2.0, -2.4], atol=1e-12)
+        np.testing.assert_allclose(grad.ravel(), [0.4, 2.0, -2.4, 0.0], atol=1e-12)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             n = int(rng.integers(10, 30))
             labels = rng.integers(0, 3, size=n)
-            labels[:3] = [0, 1, 2]
+            labels[:6] = [0, 1, 2, 0, 1, 2]
             codes = rng.standard_normal((n, int(rng.integers(1, 5))))
-            table = random_triples(rng, labels, int(rng.integers(5, 200)))
+            table = random_table(rng, labels, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
             result, grad = code_grad(codes, table)
             want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
             assert result.value == pytest.approx(want_value, abs=1e-12)
             assert result.active_triples == want_active
             np.testing.assert_allclose(grad, want_grad, atol=1e-10)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_integer_codes_match_naive_reference_exactly(self, dtype):
+        # integral codes keep every sum exact, so the scatter equals the
+        # per-row loop bit for bit: rows on the kink and repeated indices too
+        rng = np.random.default_rng(28)
+        on_kink = 0
+        for _ in range(50):
+            n = int(rng.integers(6, 25))
+            labels = rng.integers(0, 3, size=n)
+            labels[:6] = [0, 1, 2, 0, 1, 2]
+            codes = rng.integers(-2, 3, size=(n, int(rng.integers(1, 4)))).astype(dtype)
+            table = random_table(rng, labels, int(rng.integers(1, 4)), int(rng.integers(1, 7)))
+            i, l, j = table.rows.T
+            z = 1 + ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1)
+            on_kink += int((z == 0).any())
+            result, grad = code_grad(codes, table)
+            want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
+            assert (result.value, result.active_triples) == (want_value, want_active)
+            assert grad.dtype == codes.dtype
+            np.testing.assert_array_equal(grad, want_grad)
+        assert on_kink > 10
+
     def test_matches_naive_reference_on_large_table(self):
         rng = np.random.default_rng(22)
         labels = rng.integers(0, 4, size=60)
-        labels[:4] = np.arange(4)
+        labels[:8] = np.tile(np.arange(4), 2)
         codes = rng.standard_normal((60, 3))
-        table = random_triples(rng, labels, 10_000)
+        table = random_table(rng, labels, 5, 40)
+        assert len(table) == 12_000
         result, grad = code_grad(codes, table)
         want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
         assert result.value == pytest.approx(want_value, rel=1e-12)
@@ -144,7 +162,7 @@ class TestLossAndCodeGrad:
         labels = rng.integers(0, 3, size=20)
         labels[:3] = np.arange(3)
         codes = rng.standard_normal((20, 3))
-        table = random_triples(rng, labels, 60)
+        table = random_table(rng, labels, 1, 3)
         # keep every row away from the hinge kink so differencing is valid
         i, l, j = table.rows.T
         z = 1.0 + ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1)
@@ -154,31 +172,48 @@ class TestLossAndCodeGrad:
         assert norm_relative_error(grad, numeric) < 1e-6
 
     def test_unreferenced_rows_have_exactly_zero_gradient(self):
+        # points 6-11 sit 10 apart and far from 0-5; each is its own target
+        # and the next one its impostor, so no active row references them
         rng = np.random.default_rng(24)
         codes = rng.standard_normal((12, 2))
-        table = rows_table([[0, 1, 2], [3, 4, 5]])
-        _, grad = code_grad(codes, table)
+        codes[6:, 0] = 10.0 * np.arange(1, 7)
+        near = random_table(rng, np.array([0, 1, 0, 1, 0, 1]), 1, 1)
+        far = np.arange(6, 12)
+        table = TriplesTable(np.concatenate([near.targets, far[:, None]]),
+                             np.concatenate([near.impostors, np.roll(far, 1)[:, None]]))
+        result, grad = code_grad(codes, table)
+        assert result.active_triples > 0 and grad[:6].any()
         assert not grad[6:].any()
 
     def test_loss_only_agrees_with_loss_and_grad(self):
         rng = np.random.default_rng(25)
         labels = np.tile(np.arange(3), 8)
         codes = rng.standard_normal((24, 4))
-        table = random_triples(rng, labels, 300)
+        table = random_table(rng, labels, 2, 6)
         a = loss(codes, table)
         b, _ = loss_and_code_grad(codes, table)
         assert a.value == b.value and a.active_triples == b.active_triples
 
     def test_index_out_of_range(self):
-        with pytest.raises(ConsistencyError):
-            loss(np.zeros((3, 2)), rows_table([[0, 1, 3]]))
+        # indices are checked once, when the table is built
+        for targets, impostors in (([[1], [0], [3]], [[2], [2], [0]]),
+                                   ([[1], [0], [1]], [[2], [-1], [0]])):
+            with pytest.raises(ConsistencyError, match=r"\[0, 3\)"):
+                TriplesTable(targets, impostors)
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_code_rows_must_match_the_table(self, rows):
+        table = TriplesTable([[1], [0], [1]], [[2], [2], [0]])
+        for evaluate in (loss, loss_and_code_grad):
+            with pytest.raises(ConsistencyError, match="for a table of 3 anchors"):
+                evaluate(np.zeros((rows, 2)), table)
 
     def test_zero_iff_no_active(self):
         rng = np.random.default_rng(26)
         labels = np.tile(np.arange(2), 6)
         for _ in range(20):
             codes = rng.standard_normal((12, 2)) * rng.uniform(0.1, 10)
-            table = random_triples(rng, labels, 40)
+            table = random_table(rng, labels, 1, 3)
             result = loss(codes, table)
             assert (result.value == 0.0) == (result.active_triples == 0)
 
@@ -234,7 +269,7 @@ class TestFactoredTable:
     def test_peak_memory_below_materialized_rows(self):
         rng = np.random.default_rng(53)
         n, k, impostors = 4000, 5, 200
-        table = TriplesTable(np.arange(n), rng.integers(0, n, size=(n, k)),
+        table = TriplesTable(rng.integers(0, n, size=(n, k)),
                              rng.integers(0, n, size=(n, impostors)))
         assert len(table) >= 4_000_000
         codes = rng.standard_normal((n, 10))
@@ -254,7 +289,7 @@ class TestInvariance:
         rng = np.random.default_rng(27)
         labels = np.tile(np.arange(3), 10)
         codes = rng.standard_normal((30, 4))
-        table = random_triples(rng, labels, 200)
+        table = random_table(rng, labels, 2, 3)
         base = loss(codes, table).value
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         shifted = codes @ q + rng.standard_normal(4)
@@ -316,7 +351,7 @@ class TestLossAndParamGrad:
         labels = np.tile(np.arange(2), 6)
         w = rng.standard_normal((4, 2)) * 0.5
         params = EncoderParams((Layer(w, np.zeros(2), LINEAR),))
-        table = random_triples(rng, labels, 40)
+        table = random_table(rng, labels, 1, 3)
         codes = x @ w
         i, l, j = table.rows.T
         z = 1.0 + ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1)

@@ -288,8 +288,8 @@ class TestBuildTriples:
         cfg = NeighborConfig(k=2, m=3)
         table = build_triples(data, cfg)
         n, c = len(data), data.num_classes
-        stored = table.anchors.nbytes + table.targets.nbytes + table.impostors.nbytes
-        assert stored == 8 * n * (1 + cfg.k + cfg.m * (c - 1))
+        stored = table.targets.nbytes + table.impostors.nbytes
+        assert stored == 8 * n * (cfg.k + cfg.m * (c - 1))
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(5)

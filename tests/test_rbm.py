@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from dnetknn.errors import CapacityError, ConfigError, DimensionError, DivergenceError
 from dnetknn.rbm import (
+    MOMENTUM_SWITCH_EPOCH,
     CdConfig,
     Rbm,
     exact_log_likelihood,
@@ -76,7 +77,7 @@ def reference_train_rbm(data, num_hidden, cfg, rng):
     lr, decay = cfg.learning_rate, cfg.weight_decay
     history = []
     for epoch in range(cfg.epochs):
-        mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
+        mom = cfg.initial_momentum if epoch < MOMENTUM_SWITCH_EPOCH else cfg.momentum
         order = rng.permutation(n)
         errs = []
         for first in range(0, n, cfg.mini_batch):
@@ -293,18 +294,23 @@ class TestTraining:
         after = exact_log_likelihood(trained, data)
         assert after > before
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3])
+    def test_rates_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CdConfig(**{field: value})
+
     def test_rejects_out_of_range_data(self):
         with pytest.raises(ConfigError):
             train_rbm(np.array([[1.5, 0.0]]), 2, CdConfig(epochs=1))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_allocating_reference_bit_for_bit(self, dtype):
-        # 53 rows in mini-batches of 10 leave a ragged last batch; 5 epochs
-        # cross the momentum switch after epoch 2
+        # 53 rows in mini-batches of 10 leave a ragged last batch; 7 epochs
+        # cross the momentum switch after epoch MOMENTUM_SWITCH_EPOCH = 5
         data = make_digits(per_class=6, side=8, seed=4).features[:53].astype(dtype)
         cfg = CdConfig(learning_rate=0.1, momentum=0.9, initial_momentum=0.5,
-                       momentum_switch_epoch=2, weight_decay=2e-4, epochs=5,
-                       mini_batch=10)
+                       weight_decay=2e-4, epochs=7, mini_batch=10)
         got, got_history = train_rbm(data, 12, cfg, np.random.default_rng(8))
         want, want_history = reference_train_rbm(data, 12, cfg, np.random.default_rng(8))
         for name in ("weights", "visible_bias", "hidden_bias"):

@@ -178,6 +178,21 @@ class TestFinetune:
         with pytest.raises(DimensionError):
             finetune(data, cfg, init_encoder((5, 4, 2), seed=0))
 
+    @pytest.mark.parametrize("batch_size", [10, 20])
+    def test_input_width_mismatch_fails_before_any_table(self, monkeypatch, batch_size):
+        built = []
+
+        def counting_build_triples(train, cfg):
+            built.append(len(train))
+            return build_triples(train, cfg)
+
+        monkeypatch.setattr(trainer, "build_triples", counting_build_triples)
+        data = make_blobs(per_class=10, num_classes=2, dim=5, seed=7)
+        cfg = TrainConfig(layer_sizes=(6, 3, 2), k=1, m=1, batch_size=batch_size, epochs=1)
+        with pytest.raises(DimensionError):
+            finetune(data, cfg, init_encoder((6, 3, 2), seed=0))
+        assert built == []
+
     def test_batch_size_invariant(self):
         data = make_digits(per_class=3, side=8, seed=8)
         cfg = TrainConfig(layer_sizes=(64, 4), k=1, m=1, batch_size=12, epochs=1)
@@ -300,11 +315,8 @@ class TestTrainReport:
         report.epochs.append(trainer.EpochStats(12.5, 4, 0.25))
         report.epochs.append(trainer.EpochStats(3.0, 1, 0.5))
         path = tmp_path / "report.csv"
-        report.save(path, header=True)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,loss,active_triples,seconds"
-        assert lines[1] == "0,12.5,4,0.250"
-        assert lines[2] == "1,3,1,0.500"
+        report.save(path)
+        assert path.read_text().splitlines() == ["0,12.5,4,0.250", "1,3,1,0.500"]
 
 
 def test_config_validation():
