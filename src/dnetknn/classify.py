@@ -6,9 +6,10 @@ training index.  kNN breaks vote ties toward the class of the nearest
 neighbor among the tied classes.  Energy classification hypothesizes each
 class in turn for the test point: its k nearest codes of that class act as
 targets, its m nearest codes of every other class act as impostors, and
-the smallest hinge-energy sum wins (ties toward the smaller class id).
-Energy runs on batches of test points, from float64 distances whatever the
-code dtype.  Both search code space: a test point has no pixel-table row.
+the smallest hinge-energy sum wins (ties toward the smaller class id);
+`neighbors.check_capacity` refuses classes too small for k and m.  Energy
+runs on batches of test points, from float64 distances whatever the code
+dtype.  Both search code space: a test point has no pixel-table row.
 Each returns a `PREDICTION` record array: one (label, score) per test point.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DimensionError
-from .neighbors import NeighborConfig, nearest, sq_dists
+from .neighbors import NeighborConfig, check_capacity, nearest, sq_dists
 
 _CHUNK_ROWS = 256
 
@@ -80,14 +81,10 @@ def energy_predict_all(train_codes, train_labels, test_codes,
     """Label each row of test_codes by the hypothesized class of lowest energy."""
     train_codes, train_labels, test_codes = _checked(train_codes, train_labels, test_codes)
     num_classes = int(train_labels.max()) + 1
-    if num_classes < 2:
-        raise CapacityError("energy classification needs at least two classes")
+    # a test point is no member of its hypothesized class: k targets, not k + 1
+    check_capacity(train_labels, num_classes, cfg.k, cfg.m)
     need = max(cfg.k, cfg.m)
     per_class = [np.flatnonzero(train_labels == cls) for cls in range(num_classes)]
-    for cls, idx in enumerate(per_class):
-        if idx.size < need:
-            raise CapacityError(
-                f"class {cls} has {idx.size} training codes; energy mode needs >= {need}")
 
     def lowest_energy(dists):
         # (B, c, need): each class's smallest distances, ascending

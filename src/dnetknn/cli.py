@@ -299,11 +299,14 @@ def _cmd_finetune(cfg: dict) -> int:
 
 def _cmd_eval(cfg: dict) -> int:
     from . import classify, encoder
-    from .neighbors import NeighborConfig
+    from .neighbors import NeighborConfig, check_capacity
 
     # checks k, m >= 1 for every mode before any data is read
     neighbor_cfg = NeighborConfig(cfg["k"], cfg["m"])
+    energy = cfg["mode"] in ("energy", "both")
     train = _load_split(cfg, "train")
+    if energy:  # energy labelling's class sizes, before any encoding
+        check_capacity(train.labels, train.num_classes, cfg["k"], cfg["m"])
     test = _load_split(cfg, "test")
     params = encoder.load_checkpoint(cfg["model"])
     train_codes = encoder.forward(params, train.features)
@@ -313,7 +316,7 @@ def _cmd_eval(cfg: dict) -> int:
     if cfg["mode"] in ("knn", "both"):
         runs.append(("dnet-knn", classify.knn_predict(
             train_codes, train.labels, test_codes, cfg["k"])))
-    if cfg["mode"] in ("energy", "both"):
+    if energy:
         runs.append(("dnet-knn-e", classify.energy_predict_all(
             train_codes, train.labels, test_codes, neighbor_cfg)))
     if cfg["baseline"] == "pixels":

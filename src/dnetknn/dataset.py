@@ -227,10 +227,7 @@ def batch_indices(n: int, batch_size: int, seed: int) -> list[np.ndarray]:
 def make_batches(data: Dataset, batch_size: int, seed: int) -> list[Dataset]:
     """Seeded random partition into batches of batch_size (last may be smaller).
 
-    Every example lands in exactly one batch.
+    Every example lands in exactly one batch.  Whether a batch holds enough
+    of each class is `neighbors.check_capacity`'s rule, not this function's.
     """
-    if batch_size < data.num_classes:
-        raise ConfigError(
-            f"batch_size {batch_size} is smaller than num_classes {data.num_classes}"
-        )
     return [data.subset(idx) for idx in batch_indices(len(data), batch_size, seed)]

@@ -144,22 +144,22 @@ def nearest(dists: np.ndarray, count: int, candidates: np.ndarray) -> np.ndarray
     return out
 
 
-def check_capacity(labels: np.ndarray, num_classes: int, k: int, m: int) -> None:
-    """Refuse classes too small for k target and m impostor neighbors each.
+def check_capacity(labels: np.ndarray, num_classes: int, targets: int, impostors: int) -> None:
+    """The one class-size rule: every class id below num_classes needs
+    `targets` and `impostors` members, and impostors need a second class.
 
-    Targets need k + 1 members of every class id below num_classes (the
-    anchor is one of them); impostors need m members of every class, and a
-    second class.  k = 0 or m = 0 asks for none.
+    A triples table passes k + 1 and m (its anchor is a member of its class),
+    energy labelling k and m (a test point is not).  0 asks for none.
     """
-    if m and num_classes < 2:
+    if impostors and num_classes < 2:
         raise CapacityError("impostor selection needs at least two classes")
-    need = max(k + 1, m)
+    need = max(targets, impostors)
     counts = np.bincount(labels, minlength=num_classes)
     short = np.flatnonzero(counts < need)
     if short.size:
         cls = int(short[0])
-        raise CapacityError(f"class {cls} has {counts[cls]} members; "
-                            f"k={k} targets and m={m} impostors need >= {need}")
+        raise CapacityError(f"class {cls} has {counts[cls]} members; >= {need} needed "
+                            f"({targets} for targets, {impostors} for impostors)")
 
 
 def target_neighbors(train: Dataset, k: int) -> np.ndarray:
@@ -167,7 +167,7 @@ def target_neighbors(train: Dataset, k: int) -> np.ndarray:
 
     Returns an (n, k) array of global indices, each row sorted ascending.
     """
-    check_capacity(train.labels, train.num_classes, k, 0)
+    check_capacity(train.labels, train.num_classes, k + 1, 0)
     out = np.empty((len(train), k), dtype=np.int64)
     for cls in range(train.num_classes):
         idx = train.class_indices(cls)
@@ -206,5 +206,5 @@ def build_triples(train: Dataset, cfg: NeighborConfig) -> TriplesTable:
     index ascending; the row count is n * k * (c-1) * m.  Class sizes are
     checked by `check_capacity` before any distance block is formed.
     """
-    check_capacity(train.labels, train.num_classes, cfg.k, cfg.m)
+    check_capacity(train.labels, train.num_classes, cfg.k + 1, cfg.m)
     return TriplesTable(target_neighbors(train, cfg.k), impostor_neighbors(train, cfg.m))

@@ -11,8 +11,10 @@ probabilities.  Each mini-batch updates the weights by momentum
     W   = W + V_W
 
 with the analogous probability-difference updates for both bias vectors
-(no decay on biases).  A training step updates its arrays in place and
-allocates nothing weight-sized.
+(no decay on biases).  A step runs `hidden_given_visible` twice and
+`visible_given_hidden` once, the conditionals the enumeration oracle
+checks, then updates the machine's arrays in place; it allocates nothing
+weight-sized.
 
 Every logistic unit goes through `sigmoid`, which evaluates 1/(1+exp(-z))
 with numpy ufuncs, in place when asked.  It saturates to exactly 0 and 1
@@ -130,7 +132,8 @@ def hidden_given_visible(rbm: Rbm, v: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"visible width {v.shape[-1]} != {rbm.num_visible}"
         )
-    z = v @ rbm.weights + rbm.hidden_bias
+    z = v @ rbm.weights
+    z += rbm.hidden_bias
     return sigmoid(z, out=z)
 
 
@@ -141,7 +144,8 @@ def visible_given_hidden(rbm: Rbm, h: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"hidden width {h.shape[-1]} != {rbm.num_hidden}"
         )
-    z = h @ rbm.weights.T + rbm.visible_bias
+    z = h @ rbm.weights.T
+    z += rbm.visible_bias
     return sigmoid(z, out=z)
 
 
@@ -151,7 +155,8 @@ def train_rbm(data: np.ndarray, num_hidden: int, cfg: CdConfig,
 
     Each mini-batch consumes exactly one rng.random draw of shape (rows,
     num_hidden), which binarizes the data-phase hidden layer.  Returns the
-    trained machine and the per-epoch mean squared reconstruction error.
+    machine it updated in place and the per-epoch mean squared
+    reconstruction error.
     """
     data = np.asarray(data)
     if not np.issubdtype(data.dtype, np.floating):
@@ -175,16 +180,10 @@ def train_rbm(data: np.ndarray, num_hidden: int, cfg: CdConfig,
         errs = []
         for start in range(0, n, cfg.mini_batch):
             batch = data[order[start : start + cfg.mini_batch]]
-            ph0 = batch @ w
-            ph0 += c
-            sigmoid(ph0, out=ph0)
+            ph0 = hidden_given_visible(rbm, batch)
             h0 = (rng.random(ph0.shape) < ph0).astype(data.dtype)
-            pv1 = h0 @ w.T
-            pv1 += b
-            sigmoid(pv1, out=pv1)
-            ph1 = pv1 @ w
-            ph1 += c
-            sigmoid(ph1, out=ph1)
+            pv1 = visible_given_hidden(rbm, h0)
+            ph1 = hidden_given_visible(rbm, pv1)
             np.matmul(batch.T, h0, out=gw)
             gw -= np.matmul(pv1.T, ph1, out=scratch)
             gw /= batch.shape[0]
@@ -201,7 +200,7 @@ def train_rbm(data: np.ndarray, num_hidden: int, cfg: CdConfig,
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
             raise DivergenceError(f"rbm training diverged in epoch {epoch}")
         history.append(float(np.mean(errs)))
-    return Rbm(w, b, c), history
+    return rbm, history
 
 
 def train_stack(data: Dataset, layer_sizes, cfg: CdConfig, dtype=None) -> list[Rbm]:

@@ -152,14 +152,15 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
 def _check_batch_capacity(train: Dataset, cfg: TrainConfig) -> None:
     """Refuse a split whose batches cannot all hold a triples table.
 
-    Every batch of every epoch must pass `neighbors.check_capacity`.
+    Every batch of every epoch must pass `neighbors.check_capacity`, the
+    only batch-size rule (batch_size < 2 * num_classes fails at batch 0).
     Checked on the partition indices alone, before any table is built.
     """
     for epoch in range(cfg.epochs):
         for batch_idx, idx in enumerate(
                 batch_indices(len(train), cfg.batch_size, cfg.seed + epoch)):
             try:
-                check_capacity(train.labels[idx], train.num_classes, cfg.k, cfg.m)
+                check_capacity(train.labels[idx], train.num_classes, cfg.k + 1, cfg.m)
             except CapacityError as exc:
                 raise CapacityError(
                     f"epoch {epoch}, batch {batch_idx} ({idx.size} rows): {exc}") from None
@@ -171,9 +172,9 @@ def finetune(train: Dataset, cfg: TrainConfig,
 
     Returns the best parameters seen (by end-of-epoch loss over the full
     training set) and the per-epoch report.  An encoder whose input width
-    is not the data's raises DimensionError, and in mini-batch mode a batch
-    of any epoch too small for its table raises CapacityError, both before
-    any table is built.
+    is not the data's raises DimensionError, and a batch of any epoch (the
+    full set in single-batch mode) too small for its table fails
+    `neighbors.check_capacity`, both before any table is built.
     """
     if init.widths != tuple(cfg.layer_sizes):
         raise DimensionError(
@@ -181,10 +182,6 @@ def finetune(train: Dataset, cfg: TrainConfig,
         )
     if init.widths[0] != train.dim:
         raise DimensionError(f"encoder input width {init.widths[0]} != data dim {train.dim}")
-    if cfg.batch_size < 2 * train.num_classes:
-        raise ConfigError(
-            f"batch_size {cfg.batch_size} < 2 * num_classes ({2 * train.num_classes})"
-        )
     dtype = np.dtype(cfg.dtype)
     template = init.astype(dtype)
     features = train.features.astype(dtype, copy=False)

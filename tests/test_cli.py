@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dnetknn
+from dnetknn import encoder
 from dnetknn.cli import main
 from dnetknn.dataset import load_csv, save_csv, save_idx
 from dnetknn.encoder import EncoderParams, Layer, load_checkpoint, save_checkpoint
@@ -136,17 +137,21 @@ class TestFinetune:
         assert code == 2
 
     def test_under_filled_batch_exits_3(self, tmp_path, capsys):
-        save_csv(make_blobs(per_class=21, num_classes=10, dim=4, seed=0),
-                 tmp_path / "blobs.csv")
-        code = main([
-            "finetune", "--train-csv", str(tmp_path / "blobs.csv"),
-            "--init", "random", "--layers", "4,2", "--k", "2", "--m", "2",
-            "--batch", "100", "--epochs", "1", "--seed", "0",
-            "--out", str(tmp_path / "o.dnkn"),
-        ])
-        assert code == 3
-        assert "epoch 0, batch 2" in capsys.readouterr().err
-        assert not (tmp_path / "o.dnkn").exists()
+        # a 10-row tail without class 0, and 12-row batches of 10 classes,
+        # fewer rows than k + 1 = 3 members of each class need
+        for per_class, batch, where in ((21, "100", "epoch 0, batch 2 (10 rows)"),
+                                        (3, "12", "epoch 0, batch 0 (12 rows)")):
+            data = tmp_path / f"blobs{per_class}.csv"
+            out = tmp_path / f"o{per_class}.dnkn"
+            save_csv(make_blobs(per_class=per_class, num_classes=10, dim=4, seed=0), data)
+            code = main([
+                "finetune", "--train-csv", str(data),
+                "--init", "random", "--layers", "4,2", "--k", "2", "--m", "2",
+                "--batch", batch, "--epochs", "1", "--seed", "0", "--out", str(out),
+            ])
+            assert code == 3
+            assert where in capsys.readouterr().err
+            assert not out.exists()
 
     def test_random_init(self, digit_files, tmp_path):
         code = main([
@@ -299,6 +304,27 @@ class TestEval:
         ])
         assert code == 2  # a missing file would exit 3
         assert f"{key} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, k, m", [("energy", "15", "2"), ("both", "2", "15")])
+    def test_small_class_for_energy_exits_3_before_encoding(self, digit_files, finetuned,
+                                                            monkeypatch, capsys, mode, k, m):
+        forwards, forward = [], encoder.forward
+
+        def counting_forward(params, x):
+            forwards.append(x.shape)
+            return forward(params, x)
+
+        monkeypatch.setattr(encoder, "forward", counting_forward)
+        code = main([
+            "eval",
+            "--train-csv", str(digit_files / "train.csv"),  # 10 digits per class
+            "--test-csv", str(digit_files / "test.csv"),
+            "--model", str(finetuned),
+            "--mode", mode, "--k", k, "--m", m,
+        ])
+        assert code == 3
+        assert "class 0 has 10 members" in capsys.readouterr().err
+        assert forwards == []
 
     def test_dump_predictions_alone_writes_manifest(self, digit_files, finetuned,
                                                     tmp_path):

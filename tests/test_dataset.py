@@ -212,11 +212,6 @@ class TestMakeBatches:
         (batch,) = make_batches(data, 50, seed=1)
         assert sorted(batch.features.ravel().tolist()) == list(range(12))
 
-    def test_batch_too_small(self):
-        data = make_digits(per_class=2, side=8, seed=0)
-        with pytest.raises(ConfigError):
-            make_batches(data, 9, seed=0)
-
     def test_seeded(self):
         data = make_digits(per_class=6, side=8, seed=0)
         b1 = make_batches(data, 20, seed=7)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from dnetknn import rbm
 from dnetknn.errors import CapacityError, ConfigError, DimensionError, DivergenceError
 from dnetknn.rbm import (
     MOMENTUM_SWITCH_EPOCH,
@@ -318,6 +319,21 @@ class TestTraining:
             assert a.dtype == b.dtype == dtype
             assert a.tobytes() == b.tobytes(), name
         assert got_history == want_history
+
+    def test_cd1_steps_run_the_oracle_checked_conditionals(self, monkeypatch):
+        # the conditionals TestConditionals checks against the enumerated
+        # joint are the ones training runs: two hidden, one visible per step
+        calls = {}
+        for name in ("hidden_given_visible", "visible_given_hidden"):
+            def counting(machine, x, name=name, conditional=getattr(rbm, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return conditional(machine, x)
+
+            monkeypatch.setattr(rbm, name, counting)
+        data = make_digits(per_class=2, side=8, seed=0).features  # 20 rows
+        train_rbm(data, 5, CdConfig(epochs=3, mini_batch=7), np.random.default_rng(0))
+        steps = 3 * 3  # mini-batches of 7, 7 and 6 rows, three epochs
+        assert calls == {"hidden_given_visible": 2 * steps, "visible_given_hidden": steps}
 
     def test_float32_data_keeps_float32_parameters(self):
         data = make_digits(per_class=2, side=8, seed=0).features.astype(np.float32)

@@ -193,12 +193,6 @@ class TestFinetune:
             finetune(data, cfg, init_encoder((6, 3, 2), seed=0))
         assert built == []
 
-    def test_batch_size_invariant(self):
-        data = make_digits(per_class=3, side=8, seed=8)
-        cfg = TrainConfig(layer_sizes=(64, 4), k=1, m=1, batch_size=12, epochs=1)
-        with pytest.raises(ConfigError, match="2 \\* num_classes"):
-            finetune(data, cfg, init_encoder((64, 4), seed=0))
-
     def test_multi_batch_epochs_run(self):
         data = make_digits(per_class=8, side=8, seed=9)
         cfg = TrainConfig(layer_sizes=(64, 8, 2), k=1, m=1, batch_size=40,
@@ -241,6 +235,9 @@ class TestFinetune:
         # epoch 0 splits feasibly; epoch 1's partition does not
         dict(per_class=10, num_classes=3, k=2, m=3, batch_size=15, epochs=2, seed=7,
              message="epoch 1, batch"),
+        # 12 rows cannot hold k + 1 = 2 members of each of 10 classes
+        dict(per_class=3, num_classes=10, k=1, m=1, batch_size=12, epochs=1, seed=0,
+             message="epoch 0, batch 0 \\(12 rows\\)"),
     ])
     def test_under_filled_batch_fails_before_any_table(self, monkeypatch, case):
         built = []
