@@ -55,13 +55,18 @@ def _predict(train_codes, test_codes, rule) -> np.recarray:
     return predictions
 
 
+def check_k(k: int, n: int) -> None:
+    """kNN's one bound: k votes need 1 <= k <= n training points."""
+    if not 1 <= k <= n:
+        raise CapacityError(f"k={k} must lie in [1, {n}]")
+
+
 def knn_predict(train_codes: np.ndarray, train_labels: np.ndarray,
                 test_codes: np.ndarray, k: int) -> np.recarray:
     """Majority vote among the k nearest training codes of each test code."""
     train_codes, train_labels, test_codes = _checked(train_codes, train_labels, test_codes)
     n = train_codes.shape[0]
-    if not 1 <= k <= n:
-        raise CapacityError(f"k={k} must lie in [1, {n}]")
+    check_k(k, n)
     num_classes = int(train_labels.max()) + 1
 
     def vote(dists):

@@ -304,8 +304,12 @@ def _cmd_eval(cfg: dict) -> int:
     # checks k, m >= 1 for every mode before any data is read
     neighbor_cfg = NeighborConfig(cfg["k"], cfg["m"])
     energy = cfg["mode"] in ("energy", "both")
+    knn = cfg["mode"] in ("knn", "both")
     train = _load_split(cfg, "train")
-    if energy:  # energy labelling's class sizes, before any encoding
+    # the classifiers' size rules, before any encoding
+    if knn or cfg["baseline"] == "pixels":
+        classify.check_k(cfg["k"], len(train))
+    if energy:
         check_capacity(train.labels, train.num_classes, cfg["k"], cfg["m"])
     test = _load_split(cfg, "test")
     params = encoder.load_checkpoint(cfg["model"])
@@ -313,7 +317,7 @@ def _cmd_eval(cfg: dict) -> int:
     test_codes = encoder.forward(params, test.features)
 
     runs = []  # (row name, predictions), in output order
-    if cfg["mode"] in ("knn", "both"):
+    if knn:
         runs.append(("dnet-knn", classify.knn_predict(
             train_codes, train.labels, test_codes, cfg["k"])))
     if energy:

@@ -1,13 +1,16 @@
-"""Deterministic deep encoder: forward pass, backpropagation, parameter
-flattening, and binary checkpoint persistence.
+"""Deterministic deep encoder: forward pass, backpropagation, and binary
+checkpoint persistence.
 
-Hidden layers squash with the logistic function; the top (code) layer is
-linear so that Euclidean code distances are unbounded.  Checkpoints use a
-fixed little-endian binary layout (see save_checkpoint).
+The parameters are one vector, the one that conjugate gradient moves, the
+gradient lines up with and the checkpoint stores.  Hidden layers squash with
+the logistic function; the top (code) layer is linear so that Euclidean
+code distances are unbounded.  Checkpoints use a fixed little-endian binary
+layout (see save_checkpoint).
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -16,94 +19,101 @@ import numpy as np
 from .errors import ConfigError, ConsistencyError, DimensionError, FormatError
 from .rbm import Rbm, sigmoid
 
-LOGISTIC = 0
-LINEAR = 1
-
 _MAGIC = b"DNKN"
 _VERSION = 1
 
 
-@dataclass(frozen=True)
-class Layer:
-    weights: np.ndarray  # (n_in, n_out)
-    bias: np.ndarray  # (n_out,)
-    activation: int  # LOGISTIC or LINEAR
-
-    def __post_init__(self):
-        if self.weights.ndim != 2 or self.bias.ndim != 1:
-            raise DimensionError("layer weights must be 2-D and bias 1-D")
-        if self.bias.shape[0] != self.weights.shape[1]:
-            raise DimensionError(
-                f"bias length {self.bias.shape[0]} != output width {self.weights.shape[1]}"
-            )
-        # forward adds the bias and squashes in the product's own buffer
-        if self.bias.dtype != self.weights.dtype or \
-                not np.issubdtype(self.weights.dtype, np.floating):
-            raise ConfigError(
-                f"weights ({self.weights.dtype}) and bias ({self.bias.dtype}) "
-                f"need one floating dtype"
-            )
-        if self.activation not in (LOGISTIC, LINEAR):
-            raise ConfigError(f"unknown activation code {self.activation}")
+def _split(widths: tuple[int, ...], vec: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(weights, bias) views of each layer's slice of vec: the layout is
+    layer by layer, the (n_in, n_out) weights row-major, then the bias."""
+    views, pos = [], 0
+    for n_in, n_out in zip(widths, widths[1:]):
+        end = pos + n_in * n_out
+        views.append((vec[pos:end].reshape(n_in, n_out), vec[end : end + n_out]))
+        pos = end + n_out
+    return tuple(views)
 
 
 @dataclass(frozen=True)
 class EncoderParams:
-    """Ordered stack of layers defining the map from inputs to code vectors."""
+    """The map from inputs to code vectors: two or more layer widths plus
+    one parameter vector, laid out layer by layer, each layer's weights
+    (row-major) then its bias.
 
-    layers: tuple[Layer, ...]
+    Layer t of L is logistic when t < L - 1 and linear otherwise.  The
+    vector is held as a read-only view, not copied, so wrapping a
+    conjugate-gradient point costs nothing.
+    """
+
+    widths: tuple[int, ...]
+    vector: np.ndarray
 
     def __post_init__(self):
-        if not self.layers:
+        widths = tuple(map(operator.index, self.widths))
+        if len(widths) < 2 or min(widths) < 1:
+            raise ConfigError(f"encoder needs two or more widths, each >= 1; got {widths}")
+        vec = np.asarray(self.vector)
+        if not np.issubdtype(vec.dtype, np.floating):
+            raise ConfigError(f"encoder parameters need a floating dtype, got {vec.dtype}")
+        size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+        if vec.shape != (size,):
+            raise DimensionError(f"parameter vector has shape {vec.shape}, expected "
+                                 f"({size},) for widths {widths}")
+        if not np.all(np.isfinite(vec)):
+            raise ConsistencyError("encoder parameters contain non-finite values")
+        view = vec.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "vector", view)
+
+    @classmethod
+    def from_layers(cls, layers) -> "EncoderParams":
+        """Parameters copied from (weights (n_in, n_out), bias (n_out,)) pairs
+        that chain and share one floating dtype."""
+        layers = [(np.asarray(w), np.asarray(b)) for w, b in layers]
+        if not layers:
             raise ConfigError("encoder needs at least one layer")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.weights.shape[1] != b.weights.shape[0]:
-                raise DimensionError(
-                    f"layer widths do not chain: {a.weights.shape} then {b.weights.shape}"
-                )
-        for layer in self.layers:
-            if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
-                raise ConsistencyError("encoder parameters contain non-finite values")
+        for w, b in layers:
+            if w.ndim != 2 or b.ndim != 1:
+                raise DimensionError("layer weights must be 2-D and bias 1-D")
+            if b.shape[0] != w.shape[1]:
+                raise DimensionError(f"bias length {b.shape[0]} != output width {w.shape[1]}")
+        for (a, _), (b, _) in zip(layers, layers[1:]):
+            if a.shape[1] != b.shape[0]:
+                raise DimensionError(f"layer widths do not chain: {a.shape} then {b.shape}")
+        dtypes = {a.dtype for pair in layers for a in pair}
+        if len(dtypes) != 1:
+            raise ConfigError(f"weights and biases need one floating dtype, "
+                              f"got {sorted(map(str, dtypes))}")
+        widths = (layers[0][0].shape[0],) + tuple(w.shape[1] for w, _ in layers)
+        return cls(widths, np.concatenate([a.ravel() for pair in layers for a in pair]))
 
     @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.layers[0].weights.shape[0],) + tuple(
-            layer.weights.shape[1] for layer in self.layers
-        )
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(weights, bias) read-only views of the vector, one pair per layer."""
+        return _split(self.widths, self.vector)
 
     @property
     def num_params(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
+        return self.vector.size
 
     @property
     def dtype(self):
-        return self.layers[0].weights.dtype
+        return self.vector.dtype
 
     def astype(self, dtype) -> "EncoderParams":
-        return EncoderParams(tuple(
-            Layer(l.weights.astype(dtype), l.bias.astype(dtype), l.activation)
-            for l in self.layers
-        ))
-
-
-def standard_activations(num_layers: int) -> tuple[int, ...]:
-    """Logistic hidden layers, linear code layer (a single layer is the code layer)."""
-    return (LOGISTIC,) * (num_layers - 1) + (LINEAR,)
+        return EncoderParams(self.widths, self.vector.astype(dtype))
 
 
 def init_encoder(layer_sizes, seed: int = 0, weight_scale: float = 0.01) -> EncoderParams:
     """Random float64 encoder: zero-mean Gaussian weights (std weight_scale),
     zero biases."""
     sizes = list(layer_sizes)
-    if len(sizes) < 2:
-        raise ConfigError("layer_sizes needs at least an input and an output width")
     rng = np.random.default_rng(seed)
-    acts = standard_activations(len(sizes) - 1)
-    layers = []
-    for (n_in, n_out), act in zip(zip(sizes, sizes[1:]), acts):
-        w = rng.standard_normal((n_in, n_out)) * weight_scale
-        layers.append(Layer(w, np.zeros(n_out), act))
-    return EncoderParams(tuple(layers))
+    return EncoderParams.from_layers(
+        (rng.standard_normal((n_in, n_out)) * weight_scale, np.zeros(n_out))
+        for n_in, n_out in zip(sizes, sizes[1:])
+    )
 
 
 def from_rbm_stack(stack: list[Rbm]) -> EncoderParams:
@@ -113,13 +123,7 @@ def from_rbm_stack(stack: list[Rbm]) -> EncoderParams:
     generative direction) are discarded.  The last layer becomes the linear
     code layer.
     """
-    if not stack:
-        raise ConfigError("cannot build an encoder from an empty stack")
-    acts = standard_activations(len(stack))
-    layers = []
-    for machine, act in zip(stack, acts):
-        layers.append(Layer(machine.weights.copy(), machine.hidden_bias.copy(), act))
-    return EncoderParams(tuple(layers))
+    return EncoderParams.from_layers((m.weights, m.hidden_bias) for m in stack)
 
 
 def _input_rows(params: EncoderParams, x: np.ndarray) -> np.ndarray:
@@ -131,18 +135,19 @@ def _input_rows(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _apply(layer: Layer, a: np.ndarray) -> np.ndarray:
+def _apply(a: np.ndarray, weights: np.ndarray, bias: np.ndarray, hidden: bool) -> np.ndarray:
     """One layer's output, computed in the product's own buffer."""
-    z = a @ layer.weights
-    z += layer.bias
-    return sigmoid(z, out=z) if layer.activation == LOGISTIC else z
+    z = a @ weights
+    z += bias
+    return sigmoid(z, out=z) if hidden else z
 
 
 def forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     """Map input rows to code rows, holding only the current layer's output."""
     a = _input_rows(params, x)
-    for layer in params.layers:
-        a = _apply(layer, a)
+    layers = params.layers
+    for t, (weights, bias) in enumerate(layers):
+        a = _apply(a, weights, bias, t < len(layers) - 1)
     return a
 
 
@@ -151,80 +156,43 @@ def forward_with_cache(params: EncoderParams,
     """Codes plus every activation backward() needs: the input, then each
     layer's output."""
     acts = [_input_rows(params, x)]
-    for layer in params.layers:
-        acts.append(_apply(layer, acts[-1]))
+    layers = params.layers
+    for t, (weights, bias) in enumerate(layers):
+        acts.append(_apply(acts[-1], weights, bias, t < len(layers) - 1))
     return acts[-1], tuple(acts)
 
 
 def backward(params: EncoderParams, acts: tuple[np.ndarray, ...],
-             code_grad: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Reverse-mode gradients of a scalar loss given its gradient at the codes.
+             code_grad: np.ndarray) -> np.ndarray:
+    """Reverse-mode gradient of a scalar loss given its gradient at the codes.
 
-    `acts` are the activations from forward_with_cache.  Returns one
-    (dW, dbias) pair per layer, shapes mirroring the parameters.
+    `acts` are the activations from forward_with_cache.  Returns one vector
+    lined up with params.vector; each layer's dW and dbias are written
+    straight into that layer's slice.
     """
-    if len(acts) != len(params.layers) + 1:
-        raise ConsistencyError(
-            f"{len(acts)} activations for {len(params.layers)} layers"
-        )
-    for layer, a_in, a_out in zip(params.layers, acts, acts[1:]):
-        if a_in.shape[1] != layer.weights.shape[0] or a_out.shape[1] != layer.weights.shape[1]:
+    layers = params.layers
+    if len(acts) != len(layers) + 1:
+        raise ConsistencyError(f"{len(acts)} activations for {len(layers)} layers")
+    for (weights, _), a_in, a_out in zip(layers, acts, acts[1:]):
+        if (a_in.shape[1], a_out.shape[1]) != weights.shape:
             raise ConsistencyError("activations do not match these parameters")
     code_grad = np.asarray(code_grad)
     if code_grad.shape != acts[-1].shape:
         raise ConsistencyError(
             f"code_grad shape {code_grad.shape} != codes shape {acts[-1].shape}"
         )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    grad = np.empty(params.num_params, dtype=np.result_type(acts[-1], code_grad))
+    grads = _split(params.widths, grad)
     upstream = code_grad
-    for t in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[t]
+    for t in range(len(layers) - 1, -1, -1):
         out = acts[t + 1]
-        if layer.activation == LOGISTIC:
-            delta = upstream * out * (1.0 - out)
-        else:
-            delta = upstream
-        grads[t] = (acts[t].T @ delta, delta.sum(axis=0))
+        delta = upstream * out * (1.0 - out) if t < len(layers) - 1 else upstream
+        dw, db = grads[t]
+        np.matmul(acts[t].T, delta, out=dw)
+        delta.sum(axis=0, out=db)
         if t:
-            upstream = delta @ layer.weights.T
-    return grads
-
-
-def flatten(params: EncoderParams) -> np.ndarray:
-    """Parameters as one vector: layer-major, weights (row-major) then bias."""
-    pieces = []
-    for layer in params.layers:
-        pieces.append(layer.weights.ravel())
-        pieces.append(layer.bias)
-    return np.concatenate(pieces)
-
-
-def flatten_gradients(grads) -> np.ndarray:
-    """Gradient pairs from backward() flattened in the same order as flatten()."""
-    pieces = []
-    for dw, db in grads:
-        pieces.append(dw.ravel())
-        pieces.append(db)
-    return np.concatenate(pieces)
-
-
-def unflatten(template: EncoderParams, vec: np.ndarray) -> EncoderParams:
-    """Rebuild parameters from a flat vector using template's shapes/activations."""
-    vec = np.asarray(vec)
-    if vec.shape != (template.num_params,):
-        raise DimensionError(
-            f"flat vector has length {vec.shape}, expected ({template.num_params},)"
-        )
-    layers = []
-    pos = 0
-    for layer in template.layers:
-        wsize = layer.weights.size
-        w = vec[pos : pos + wsize].reshape(layer.weights.shape)
-        pos += wsize
-        b = vec[pos : pos + layer.bias.size]
-        pos += layer.bias.size
-        layers.append(Layer(w.copy(), b.copy(), layer.activation))
-    return EncoderParams(tuple(layers))
+            upstream = delta @ layers[t][0].T
+    return grad
 
 
 def save_checkpoint(params: EncoderParams, path) -> None:
@@ -232,19 +200,20 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
     Layout, all little-endian: magic b"DNKN"; uint32 version (=1); uint32
     layer count L; L+1 uint32 layer widths; then per layer one activation
-    flag byte (0=logistic, 1=linear) followed by the weights as row-major
-    float64 and the bias as float64.
+    flag byte (0=logistic for the hidden layers, 1=linear for the last)
+    followed by the weights as row-major float64 and the bias as float64.
     """
     widths = params.widths
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<I", len(params.layers)))
+        f.write(struct.pack("<I", len(widths) - 1))
         f.write(struct.pack(f"<{len(widths)}I", *widths))
-        for layer in params.layers:
-            f.write(struct.pack("<B", layer.activation))
-            f.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+        layers = _split(widths, np.asarray(params.vector, dtype="<f8"))
+        for t, (weights, bias) in enumerate(layers):
+            f.write(struct.pack("<B", t == len(layers) - 1))
+            f.write(weights.tobytes())
+            f.write(bias.tobytes())
 
 
 def _take(buf: bytes, pos: int, n: int, path, what: str) -> tuple[bytes, int]:
@@ -254,7 +223,11 @@ def _take(buf: bytes, pos: int, n: int, path, what: str) -> tuple[bytes, int]:
 
 
 def load_checkpoint(path) -> EncoderParams:
-    """Read a checkpoint written by save_checkpoint (bit-exact round trip)."""
+    """Read a checkpoint written by save_checkpoint (bit-exact round trip).
+
+    Refuses widths of 0 and any activation flags but 0 for the hidden layers
+    and 1 for the last.
+    """
     with open(path, "rb") as f:
         buf = f.read()
     magic, pos = _take(buf, 0, 4, path, "magic")
@@ -270,16 +243,16 @@ def load_checkpoint(path) -> EncoderParams:
         raise FormatError(f"{path}: checkpoint declares zero layers")
     raw, pos = _take(buf, pos, 4 * (count + 1), path, "layer widths")
     widths = struct.unpack(f"<{count + 1}I", raw)
-    layers = []
-    for t in range(count):
+    if 0 in widths:
+        raise FormatError(f"{path}: checkpoint declares a layer width of 0 in {widths}")
+    pieces = []
+    for t, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
         raw, pos = _take(buf, pos, 1, path, f"layer {t} activation flag")
-        activation = raw[0]
-        n_in, n_out = widths[t], widths[t + 1]
-        raw, pos = _take(buf, pos, 8 * n_in * n_out, path, f"layer {t} weights")
-        w = np.frombuffer(raw, dtype="<f8").reshape(n_in, n_out).copy()
-        raw, pos = _take(buf, pos, 8 * n_out, path, f"layer {t} bias")
-        b = np.frombuffer(raw, dtype="<f8").copy()
-        layers.append(Layer(w, b, int(activation)))
+        if raw[0] != (t == count - 1):
+            raise FormatError(f"{path}: layer {t} of {count} has activation flag {raw[0]} "
+                              f"(0 for hidden layers, 1 for the last)")
+        raw, pos = _take(buf, pos, 8 * (n_in * n_out + n_out), path, f"layer {t} parameters")
+        pieces.append(np.frombuffer(raw, dtype="<f8"))
     if pos != len(buf):
         raise FormatError(f"{path}: {len(buf) - pos} trailing bytes after last layer")
-    return EncoderParams(tuple(layers))
+    return EncoderParams(widths, np.concatenate(pieces))

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .encoder import EncoderParams, backward, flatten_gradients, forward_with_cache
+from .encoder import EncoderParams, backward, forward_with_cache
 from .errors import ConsistencyError
 from .neighbors import TriplesTable
 
@@ -120,9 +120,9 @@ def loss_and_code_grad(codes: np.ndarray,
 def loss_and_param_grad(params: EncoderParams, batch: np.ndarray,
                         table: TriplesTable) -> tuple[MarginLoss, Callable]:
     """Objective on forward(params, batch) plus a function of no arguments
-    that returns the flattened parameter gradient, lined up with
-    encoder.flatten(params).  It reuses this call's activations and hinge
-    pass, so it runs only the scatter and `backward`."""
+    that returns the parameter gradient, lined up with `params.vector`.  It
+    reuses this call's activations and hinge pass, so it runs only the
+    scatter and `backward`."""
     codes, acts = forward_with_cache(params, batch)
     result, code_grad = loss_and_code_grad(codes, table)
-    return result, lambda: flatten_gradients(backward(params, acts, code_grad()))
+    return result, lambda: backward(params, acts, code_grad())

@@ -1,5 +1,7 @@
 """Fine-tuning driver: mini-batch scheduling and nonlinear conjugate-gradient
-minimization of the margin objective through the encoder.
+minimization of the margin objective through the encoder.  CG moves the
+encoder's parameter vector itself; each trial point is wrapped, not copied,
+as `EncoderParams(widths, vector)`.
 
 Each epoch re-partitions the training set with a derived seed (seed + epoch),
 rebuilds the neighbor triples inside every batch, and runs a fixed number of
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import margin
 from .dataset import Dataset, batch_indices, make_batches
-from .encoder import EncoderParams, flatten, forward, unflatten
+from .encoder import EncoderParams, forward
 from .errors import CapacityError, ConfigError, DimensionError, DivergenceError
 from .neighbors import NeighborConfig, build_triples, check_capacity
 
@@ -77,16 +79,10 @@ class TrainReport:
     def losses(self) -> list[float]:
         return [e.loss for e in self.epochs]
 
-    def to_lines(self) -> list[str]:
-        return [
-            f"{idx},{e.loss:.17g},{e.active_triples},{e.seconds:.3f}"
-            for idx, e in enumerate(self.epochs)
-        ]
-
     def save(self, path) -> None:
         with open(path, "w") as f:
-            for line in self.to_lines():
-                f.write(line + "\n")
+            for idx, e in enumerate(self.epochs):
+                f.write(f"{idx},{e.loss:.17g},{e.active_triples},{e.seconds:.3f}\n")
 
 
 def polak_ribiere_minimize(objective, x0: np.ndarray,
@@ -168,7 +164,8 @@ def _check_batch_capacity(train: Dataset, cfg: TrainConfig) -> None:
 
 def finetune(train: Dataset, cfg: TrainConfig,
              init: EncoderParams) -> tuple[EncoderParams, TrainReport]:
-    """Minimize the margin objective over the encoder parameters.
+    """Minimize the margin objective over the encoder's parameter vector,
+    every layer jointly, in the training dtype.
 
     Returns the best parameters seen (by end-of-epoch loss over the full
     training set) and the per-epoch report.  An encoder whose input width
@@ -183,9 +180,8 @@ def finetune(train: Dataset, cfg: TrainConfig,
     if init.widths[0] != train.dim:
         raise DimensionError(f"encoder input width {init.widths[0]} != data dim {train.dim}")
     dtype = np.dtype(cfg.dtype)
-    template = init.astype(dtype)
     features = train.features.astype(dtype, copy=False)
-    x = flatten(template)
+    x = init.vector.astype(dtype)
 
     single_batch = cfg.batch_size >= len(train)
     if not single_batch:
@@ -210,7 +206,7 @@ def finetune(train: Dataset, cfg: TrainConfig,
         for batch_idx, (batch_features, table) in enumerate(batches):
             def objective(vec):
                 result, gradient = margin.loss_and_param_grad(
-                    unflatten(template, vec), batch_features, table)
+                    EncoderParams(init.widths, vec), batch_features, table)
                 return result.value, gradient
 
             try:
@@ -219,7 +215,7 @@ def finetune(train: Dataset, cfg: TrainConfig,
                 raise DivergenceError(
                     f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
 
-        full = margin.loss(forward(unflatten(template, x), features), full_table)
+        full = margin.loss(forward(EncoderParams(init.widths, x), features), full_table)
         if not np.isfinite(full.value):
             raise DivergenceError(f"epoch {epoch}: full training loss is non-finite")
         report.epochs.append(EpochStats(
@@ -230,4 +226,4 @@ def finetune(train: Dataset, cfg: TrainConfig,
         if full.value < best_loss:
             best_loss = full.value
             best_x = x.copy()
-    return unflatten(template, best_x), report
+    return EncoderParams(init.widths, best_x), report

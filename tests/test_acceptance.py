@@ -19,13 +19,12 @@ import pytest
 from dnetknn import classify, margin
 from dnetknn.dataset import SplitSpec, fixed_split, load_idx
 from dnetknn.encoder import (
-    flatten,
+    EncoderParams,
     forward,
     from_rbm_stack,
     init_encoder,
     load_checkpoint,
     save_checkpoint,
-    unflatten,
 )
 from dnetknn.neighbors import NeighborConfig, build_triples
 from dnetknn.rbm import (
@@ -144,18 +143,17 @@ def test_criterion_1_gradient_correctness():
     params = init_encoder((10, 7, 4, 3, 2), seed=102, weight_scale=0.7)
     # randomize biases as well so no gradient block is structurally trivial
     rng = np.random.default_rng(103)
-    flat = flatten(params)
-    flat[:] += 0.3 * rng.standard_normal(flat.size)
-    params = unflatten(params, flat)
+    params = EncoderParams(params.widths,
+                           params.vector + 0.3 * rng.standard_normal(params.num_params))
 
     _, gradient = margin.loss_and_param_grad(params, data.features, table)
     analytic = gradient()
 
     def value(vec):
-        return margin.loss(forward(unflatten(params, vec), data.features),
+        return margin.loss(forward(EncoderParams(params.widths, vec), data.features),
                            table).value
 
-    numeric = fd_gradient(value, flatten(params), h=1e-5)
+    numeric = fd_gradient(value, params.vector, h=1e-5)
     rel = norm_relative_error(analytic, numeric)
     elapsed = time.perf_counter() - started
     report(1, "gradient correctness", rel < 1e-5 and elapsed < 10.0,
@@ -376,12 +374,8 @@ def test_criterion_8_invariance_suite(tmp_path):
         path = tmp_path / f"case{case}.dnkn"
         save_checkpoint(params, path)
         again = load_checkpoint(path)
-        same = all(
-            np.array_equal(a.weights, b.weights)
-            and np.array_equal(a.bias, b.bias)
-            and a.activation == b.activation
-            for a, b in zip(params.layers, again.layers)
-        )
+        same = (again.widths == params.widths
+                and again.vector.tobytes() == params.vector.tobytes())
         if not same:
             failures.append(f"checkpoint case {case}")
             break

@@ -10,9 +10,10 @@ import dnetknn
 from dnetknn import encoder
 from dnetknn.cli import main
 from dnetknn.dataset import load_csv, save_csv, save_idx
-from dnetknn.encoder import EncoderParams, Layer, load_checkpoint, save_checkpoint
+from dnetknn.encoder import EncoderParams, load_checkpoint, save_checkpoint
 
 from _synthetic import make_blobs, make_digits
+from test_encoder import pack_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +327,43 @@ class TestEval:
         assert "class 0 has 10 members" in capsys.readouterr().err
         assert forwards == []
 
+    @pytest.mark.parametrize("mode", ["knn", "both"])
+    def test_k_above_training_rows_exits_3_before_encoding(self, digit_files, finetuned,
+                                                           monkeypatch, capsys, mode):
+        forwards, forward = [], encoder.forward
+
+        def counting_forward(params, x):
+            forwards.append(x.shape)
+            return forward(params, x)
+
+        monkeypatch.setattr(encoder, "forward", counting_forward)
+        code = main([
+            "eval",
+            "--train-csv", str(digit_files / "train.csv"),  # 10 classes of 10 rows
+            "--test-csv", str(digit_files / "test.csv"),
+            "--model", str(finetuned),
+            "--mode", mode, "--k", "101", "--m", "2",
+        ])
+        assert code == 3
+        assert "k=101 must lie in [1, 100]" in capsys.readouterr().err
+        assert forwards == []
+
+    @pytest.mark.parametrize("widths, flags", [((64, 2, 1), (1, 0)), ((64, 0, 1), (0, 1))])
+    def test_bad_checkpoint_header_exits_3(self, digit_files, tmp_path, capsys, widths,
+                                           flags):
+        size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+        model = tmp_path / "bad.dnkn"
+        model.write_bytes(pack_checkpoint(widths, flags, [0.25] * size))
+        code = main([
+            "eval",
+            "--train-csv", str(digit_files / "train.csv"),
+            "--test-csv", str(digit_files / "test.csv"),
+            "--model", str(model),
+            "--mode", "knn", "--k", "2",
+        ])
+        assert code == 3
+        assert "bad.dnkn" in capsys.readouterr().err
+
     def test_dump_predictions_alone_writes_manifest(self, digit_files, finetuned,
                                                     tmp_path):
         dump = tmp_path / "preds.csv"
@@ -350,9 +388,9 @@ class TestEval:
                                       capsys):
         # finite weights whose codes are finite, but whose squared distances are not
         params = load_checkpoint(finetuned)
-        *hidden, last = params.layers
-        scaled = Layer(last.weights * 1e306, last.bias, last.activation)
-        save_checkpoint(EncoderParams((*hidden, scaled)), tmp_path / "huge.dnkn")
+        *hidden, (weights, bias) = params.layers
+        scaled = EncoderParams.from_layers([*hidden, (weights * 1e306, bias)])
+        save_checkpoint(scaled, tmp_path / "huge.dnkn")
         out = tmp_path / "errors.csv"
         code = main([
             "eval",

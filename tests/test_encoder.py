@@ -1,24 +1,19 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dnetknn.encoder import (
-    LINEAR,
-    LOGISTIC,
     EncoderParams,
-    Layer,
     backward,
-    flatten,
-    flatten_gradients,
     forward,
     forward_with_cache,
     from_rbm_stack,
     init_encoder,
     load_checkpoint,
     save_checkpoint,
-    unflatten,
 )
 from dnetknn.errors import ConfigError, ConsistencyError, DimensionError, FormatError
 from dnetknn.rbm import CdConfig, Rbm, hidden_given_visible, train_stack
@@ -28,26 +23,37 @@ from _synthetic import make_digits
 
 def random_params(sizes, seed, scale=0.7):
     rng = np.random.default_rng(seed)
-    layers = []
-    for t, (a, b) in enumerate(zip(sizes, sizes[1:])):
-        act = LINEAR if t == len(sizes) - 2 else LOGISTIC
-        layers.append(Layer(scale * rng.standard_normal((a, b)),
-                            scale * rng.standard_normal(b), act))
-    return EncoderParams(tuple(layers))
+    return EncoderParams.from_layers(
+        (scale * rng.standard_normal((a, b)), scale * rng.standard_normal(b))
+        for a, b in zip(sizes, sizes[1:]))
+
+
+def pack_checkpoint(widths, flags, values) -> bytes:
+    """A checkpoint packed by hand: header, then each layer's flag byte and
+    its float64 weights and bias taken in order from `values`."""
+    out = struct.pack(f"<4sII{len(widths)}I", b"DNKN", 1, len(widths) - 1, *widths)
+    pos = 0
+    for flag, n_in, n_out in zip(flags, widths, widths[1:]):
+        size = n_in * n_out + n_out
+        out += struct.pack(f"<B{size}d", flag, *values[pos : pos + size])
+        pos += size
+    return out
 
 
 def oracle_forward(params, x):
-    """Independent per-row, per-unit evaluation of the encoder map."""
+    """Independent per-row, per-unit evaluation of the encoder map: logistic
+    hidden layers, linear last layer."""
     out = []
+    last = len(params.layers) - 1
     for row in x:
         a = list(row)
-        for layer in params.layers:
+        for t, (weights, bias) in enumerate(params.layers):
             nxt = []
-            for j in range(layer.weights.shape[1]):
-                z = layer.bias[j]
-                for i in range(layer.weights.shape[0]):
-                    z += a[i] * layer.weights[i, j]
-                if layer.activation == LOGISTIC:
+            for j in range(weights.shape[1]):
+                z = bias[j]
+                for i in range(weights.shape[0]):
+                    z += a[i] * weights[i, j]
+                if t < last:
                     z = 1.0 / (1.0 + math.exp(-z))
                 nxt.append(z)
             a = nxt
@@ -66,10 +72,10 @@ def max_block_relative_error(analytic, numeric):
 
 class TestForward:
     def test_zero_parameters(self):
-        params = EncoderParams((
-            Layer(np.zeros((3, 4)), np.zeros(4), LOGISTIC),
-            Layer(np.zeros((4, 2)), np.zeros(2), LINEAR),
-        ))
+        params = EncoderParams.from_layers([
+            (np.zeros((3, 4)), np.zeros(4)),
+            (np.zeros((4, 2)), np.zeros(2)),
+        ])
         codes, acts = forward_with_cache(params, np.ones((5, 3)))
         assert len(acts) == 3 and acts[-1] is codes
         np.testing.assert_array_equal(acts[1], 0.5)
@@ -78,7 +84,7 @@ class TestForward:
     def test_single_linear_layer_is_matrix_product(self):
         rng = np.random.default_rng(3)
         w = rng.standard_normal((4, 2))
-        params = EncoderParams((Layer(w, np.zeros(2), LINEAR),))
+        params = EncoderParams.from_layers([(w, np.zeros(2))])
         x = rng.standard_normal((6, 4))
         np.testing.assert_allclose(forward(params, x), x @ w, atol=1e-14)
 
@@ -125,9 +131,14 @@ class TestForward:
 
     def test_layer_needs_one_floating_dtype(self):
         with pytest.raises(ConfigError):
-            Layer(np.zeros((3, 2), np.float32), np.zeros(2), LOGISTIC)
+            EncoderParams.from_layers([(np.zeros((3, 2), np.float32), np.zeros(2))])
         with pytest.raises(ConfigError):
-            Layer(np.zeros((3, 2), np.int64), np.zeros(2, np.int64), LOGISTIC)
+            EncoderParams.from_layers([(np.zeros((3, 2), np.int64), np.zeros(2, np.int64))])
+        with pytest.raises(ConfigError):
+            EncoderParams.from_layers([(np.zeros((3, 2)), np.zeros(2)),
+                                       (np.zeros((2, 1), np.float32), np.zeros(1, np.float32))])
+        with pytest.raises(ConfigError):
+            EncoderParams((3, 2), np.zeros(8, np.int64))
 
 
 class TestFromRbmStack:
@@ -135,8 +146,7 @@ class TestFromRbmStack:
         rng = np.random.default_rng(4)
         machine = Rbm(rng.standard_normal((5, 3)), rng.standard_normal(5),
                       rng.standard_normal(3))
-        params = from_rbm_stack([machine])
-        assert params.layers[0].activation == LINEAR  # single layer is the code layer
+        params = from_rbm_stack([machine])  # a single layer is the linear code layer
         v = rng.random((4, 5))
         # pre-activation output: the conditional without the squashing
         expected = v @ machine.weights + machine.hidden_bias
@@ -150,8 +160,12 @@ class TestFromRbmStack:
         stack = train_stack(data, [64, 10, 8, 6, 4], CdConfig(epochs=1, seed=0))
         params = from_rbm_stack(stack)
         assert params.widths == (64, 10, 8, 6, 4)
-        acts = [l.activation for l in params.layers]
-        assert acts == [LOGISTIC, LOGISTIC, LOGISTIC, LINEAR]
+        # logistic hidden layers, linear code layer
+        _, acts = forward_with_cache(params, data.features[:5])
+        for t, (weights, bias) in enumerate(params.layers):
+            pre = acts[t] @ weights + bias
+            want = pre if t == 3 else 1.0 / (1.0 + np.exp(-pre))
+            np.testing.assert_allclose(acts[t + 1], want, rtol=1e-12, atol=1e-15)
 
     def test_empty_stack(self):
         with pytest.raises(ConfigError):
@@ -170,19 +184,19 @@ class TestBackward:
         params = random_params([5, 4, 3], seed=9)
         x = np.random.default_rng(10).standard_normal((6, 5))
         codes, cache = forward_with_cache(params, x)
-        grads = backward(params, cache, np.zeros_like(codes))
-        for dw, db in grads:
-            assert not dw.any() and not db.any()
+        grad = backward(params, cache, np.zeros_like(codes))
+        assert grad.shape == params.vector.shape
+        assert not grad.any()
 
     def test_single_linear_layer_closed_form(self):
         # d/dW of sum(G * (xW + b)) is x^T G; d/db is column sums of G.
         rng = np.random.default_rng(11)
         w = rng.standard_normal((2, 2))
-        params = EncoderParams((Layer(w, rng.standard_normal(2), LINEAR),))
+        params = EncoderParams.from_layers([(w, rng.standard_normal(2))])
         x = rng.standard_normal((3, 2))
         g = rng.standard_normal((3, 2))
         codes, cache = forward_with_cache(params, x)
-        (dw, db), = backward(params, cache, g)
+        (dw, db), = EncoderParams(params.widths, backward(params, cache, g)).layers
         np.testing.assert_allclose(dw, x.T @ g, atol=1e-14)
         np.testing.assert_allclose(db, g.sum(axis=0), atol=1e-14)
 
@@ -194,12 +208,13 @@ class TestBackward:
         weights_on_codes = rng.standard_normal((8, 2))
 
         def loss_of(vec):
-            return float((forward(unflatten(params, vec), x) * weights_on_codes).sum())
+            return float((forward(EncoderParams(params.widths, vec), x)
+                          * weights_on_codes).sum())
 
         codes, cache = forward_with_cache(params, x)
-        analytic = backward(params, cache, weights_on_codes)
+        analytic = EncoderParams(params.widths, backward(params, cache, weights_on_codes))
 
-        flat = flatten(params)
+        flat = params.vector
         h = 1e-5
         numeric_flat = np.empty_like(flat)
         for idx in range(flat.size):
@@ -207,15 +222,8 @@ class TestBackward:
             up[idx] += h
             down[idx] -= h
             numeric_flat[idx] = (loss_of(up) - loss_of(down)) / (2 * h)
-        numeric = []
-        pos = 0
-        for layer in params.layers:
-            dw = numeric_flat[pos : pos + layer.weights.size].reshape(layer.weights.shape)
-            pos += layer.weights.size
-            db = numeric_flat[pos : pos + layer.bias.size]
-            pos += layer.bias.size
-            numeric.append((dw, db))
-        assert max_block_relative_error(analytic, numeric) < 1e-5
+        numeric = EncoderParams(params.widths, numeric_flat)
+        assert max_block_relative_error(analytic.layers, numeric.layers) < 1e-5
 
     def test_stale_cache_rejected(self):
         params = random_params([5, 4, 3], seed=14)
@@ -237,29 +245,56 @@ class TestBackward:
 
 
 class TestFlatten:
-    def test_round_trip_bit_identical(self):
+    """The one parameter vector: layer by layer, weights row-major, then bias."""
+
+    def test_vector_is_a_read_only_view(self):
         params = random_params([6, 5, 4, 3], seed=17)
-        rebuilt = unflatten(params, flatten(params))
-        for a, b in zip(params.layers, rebuilt.layers):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.bias, b.bias)
-            assert a.activation == b.activation
+        vec = params.vector.copy()
+        wrapped = EncoderParams(params.widths, vec)
+        assert np.shares_memory(wrapped.vector, vec) and vec.flags.writeable
+        assert not wrapped.vector.flags.writeable
+        for weights, bias in wrapped.layers:
+            assert np.shares_memory(weights, vec) and np.shares_memory(bias, vec)
+            with pytest.raises(ValueError):
+                weights[0, 0] = 1.0
 
     def test_total_length(self):
         sizes = [6, 5, 4, 3]
         params = random_params(sizes, seed=18)
         expected = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
-        assert flatten(params).size == expected == params.num_params
+        assert params.vector.size == expected == params.num_params
 
     def test_short_vector_rejected(self):
         params = random_params([6, 5], seed=19)
         with pytest.raises(DimensionError):
-            unflatten(params, flatten(params)[:-1])
+            EncoderParams(params.widths, params.vector[:-1])
+
+    @pytest.mark.parametrize("widths", [(6,), (6, 0), (0, 3), ()])
+    def test_bad_widths_rejected(self, widths):
+        with pytest.raises(ConfigError):
+            EncoderParams(widths, np.zeros(0))
+        with pytest.raises(ConfigError):
+            init_encoder(widths)
+
+    def test_non_finite_rejected(self):
+        params = random_params([4, 3], seed=19)
+        vec = params.vector.copy()
+        vec[3] = np.nan
+        with pytest.raises(ConsistencyError):
+            EncoderParams(params.widths, vec)
 
     def test_gradient_flattening_matches_parameter_order(self):
         params = random_params([4, 3, 2], seed=20)
-        fake = [(l.weights, l.bias) for l in params.layers]
-        np.testing.assert_array_equal(flatten_gradients(fake), flatten(params))
+        (w0, b0), (w1, b1) = params.layers
+        np.testing.assert_array_equal(params.vector,
+                                      np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+        rng = np.random.default_rng(21)
+        x, g = rng.standard_normal((5, 4)), rng.standard_normal((5, 2))
+        _, acts = forward_with_cache(params, x)
+        delta = (g @ w1.T) * acts[1] * (1.0 - acts[1])
+        want = np.concatenate([(x.T @ delta).ravel(), delta.sum(axis=0),
+                               (acts[1].T @ g).ravel(), g.sum(axis=0)])
+        np.testing.assert_allclose(backward(params, acts, g), want, rtol=1e-12)
 
 
 class TestCheckpoint:
@@ -268,10 +303,8 @@ class TestCheckpoint:
         path = tmp_path / "model.dnkn"
         save_checkpoint(params, path)
         again = load_checkpoint(path)
-        for a, b in zip(params.layers, again.layers):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.bias, b.bias)
-            assert a.activation == b.activation
+        assert again.widths == params.widths
+        assert again.vector.tobytes() == params.vector.tobytes()
         x = np.random.default_rng(22).standard_normal((3, 6))
         np.testing.assert_array_equal(forward(params, x), forward(again, x))
 
@@ -312,3 +345,34 @@ class TestCheckpoint:
         n_params = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
         header = 4 + 4 + 4 + 4 * len(sizes) + n_layers  # magic/version/count/widths/flags
         assert path.stat().st_size == header + 8 * n_params
+
+    def test_golden_bytes(self, tmp_path):
+        w0, b0 = np.arange(6.0).reshape(3, 2) / 8.0, np.array([0.5, -1.0])
+        w1, b1 = np.array([[1.5], [-2.25]]), np.array([3.0])
+        golden = (struct.pack("<4sIIIII", b"DNKN", 1, 2, 3, 2, 1)
+                  + struct.pack("<B8d", 0, *w0.ravel(), *b0)
+                  + struct.pack("<B3d", 1, *w1.ravel(), *b1))
+        values = [*w0.ravel(), *b0, *w1.ravel(), *b1]
+        assert golden == pack_checkpoint((3, 2, 1), (0, 1), values)
+        path = tmp_path / "golden.dnkn"
+        save_checkpoint(EncoderParams.from_layers([(w0, b0), (w1, b1)]), path)
+        assert path.read_bytes() == golden
+        again = load_checkpoint(path)
+        assert again.widths == (3, 2, 1)
+        for got, want in zip(again.layers, [(w0, b0), (w1, b1)]):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("widths, flags, match", [
+        ((3, 2, 1), (1, 0), "activation flag"),
+        ((3, 2, 1), (0, 0), "activation flag"),
+        ((3, 2, 1), (1, 1), "activation flag"),
+        ((3, 2, 1), (0, 2), "activation flag"),
+        ((3, 0, 1), (0, 1), "width of 0"),
+    ])
+    def test_refuses_bad_flags_and_zero_widths(self, tmp_path, widths, flags, match):
+        size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+        path = tmp_path / "bad.dnkn"
+        path.write_bytes(pack_checkpoint(widths, flags, np.linspace(-1.0, 1.0, size)))
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)

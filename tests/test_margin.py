@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from dnetknn.dataset import Dataset
-from dnetknn.encoder import (
-    LINEAR,
-    EncoderParams,
-    Layer,
-    backward,
-    flatten,
-    flatten_gradients,
-    forward,
-    forward_with_cache,
-    unflatten,
-)
+from dnetknn.encoder import EncoderParams, backward, forward, forward_with_cache
 from dnetknn.errors import ConsistencyError
 from dnetknn.margin import (
     loss,
@@ -309,7 +299,7 @@ class TestLossAndParamGrad:
         assert 0 < result.active_triples < len(table)
         codes, cache = forward_with_cache(params, x)
         _, eager_code_grad = code_grad(codes, table)
-        want = flatten_gradients(backward(params, cache, eager_code_grad))
+        want = backward(params, cache, eager_code_grad)
         got = gradient()
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
@@ -325,7 +315,7 @@ class TestLossAndParamGrad:
         if result.value == 0.0:
             assert not grad.any()
         # force well-separated codes to guarantee the zero-loss branch runs
-        wide = EncoderParams((Layer(np.eye(3, 2) * 50.0, np.zeros(2), LINEAR),))
+        wide = EncoderParams.from_layers([(np.eye(3, 2) * 50.0, np.zeros(2))])
         result, grad = param_grad(wide, x, table)
         assert result.value == 0.0
         assert not grad.any()
@@ -334,10 +324,11 @@ class TestLossAndParamGrad:
         data = make_blobs(per_class=7, num_classes=3, dim=6, seed=31)
         table = build_triples(data, NeighborConfig(k=2, m=2))
         params = random_params([6, 5, 4, 3, 2], seed=32)
-        x0 = flatten(params)
+        x0 = params.vector
 
         def value(vec):
-            return loss(forward(unflatten(params, vec), data.features), table).value
+            return loss(forward(EncoderParams(params.widths, vec), data.features),
+                        table).value
 
         _, grad = param_grad(params, data.features, table)
         numeric = fd_gradient(value, x0)
@@ -350,7 +341,7 @@ class TestLossAndParamGrad:
         x = rng.standard_normal((12, 4))
         labels = np.tile(np.arange(2), 6)
         w = rng.standard_normal((4, 2)) * 0.5
-        params = EncoderParams((Layer(w, np.zeros(2), LINEAR),))
+        params = EncoderParams.from_layers([(w, np.zeros(2))])
         table = random_table(rng, labels, 1, 3)
         codes = x @ w
         i, l, j = table.rows.T

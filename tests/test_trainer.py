@@ -5,13 +5,12 @@ import pytest
 
 from dnetknn import margin, trainer
 from dnetknn.encoder import (
-    flatten,
+    EncoderParams,
     forward,
     from_rbm_stack,
     init_encoder,
     load_checkpoint,
     save_checkpoint,
-    unflatten,
 )
 from dnetknn.errors import CapacityError, ConfigError, DimensionError
 from dnetknn.neighbors import NeighborConfig, build_triples
@@ -93,10 +92,10 @@ class TestFinetune:
 
         def objective(vec):
             result, gradient = margin.loss_and_param_grad(
-                unflatten(params, vec), data.features, table)
+                EncoderParams(params.widths, vec), data.features, table)
             return result.value, gradient
 
-        _, trajectory = polak_ribiere_minimize(objective, flatten(params), 3)
+        _, trajectory = polak_ribiere_minimize(objective, params.vector, 3)
         assert len(trajectory) == 4
         assert all(b <= a for a, b in zip(trajectory, trajectory[1:]))
 
@@ -129,7 +128,7 @@ class TestFinetune:
             monkeypatch.setattr(trainer, "polak_ribiere_minimize", recording)
             params, report = finetune(data, cfg, init)
             stats = [(e.loss, e.active_triples) for e in report.epochs]
-            return flatten(params).tobytes(), stats, trajectories
+            return params.vector.tobytes(), stats, trajectories
 
         reused = run()
         evaluations, gradients = [], []
@@ -216,11 +215,13 @@ class TestFinetune:
         # stays in the training dtype
         seen = []
 
-        def recording_unflatten(template, vec):
-            seen.append(vec.dtype)
-            return unflatten(template, vec)
+        original = margin.loss_and_param_grad
 
-        monkeypatch.setattr(trainer, "unflatten", recording_unflatten)
+        def recording(params, batch, table):
+            seen.append(params.dtype)
+            return original(params, batch, table)
+
+        monkeypatch.setattr(margin, "loss_and_param_grad", recording)
         data = make_blobs(per_class=30, num_classes=3, dim=6, seed=0)
         cfg = TrainConfig(layer_sizes=(6, 4, 2), k=2, m=2, batch_size=90,
                           epochs=2, cg_line_searches=3, seed=0, dtype="float32")
