@@ -111,7 +111,8 @@ _OPTIONS = {
     "init": Option(_init, help="checkpoint path, or 'random' (then --layers is required)"),
     "k": Option(int, 5),
     "m": Option(int, 30),
-    "batch": Option(int, 10000),
+    "batch": Option(int, 10000,
+                    help="rows per batch; n // batch class-stratified batches"),
     "cg_iters": Option(int, 3),
     "dtype": Option(str, "float64"),
     "report": Option(_path, help="per-epoch report path (default <out>.report.csv)"),

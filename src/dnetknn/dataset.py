@@ -81,7 +81,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """New Dataset holding the given rows; num_classes is preserved."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.num_classes)
+        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
     def class_indices(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)
@@ -216,18 +216,17 @@ def fixed_split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return data.subset(np.concatenate(train_parts)), data.subset(np.concatenate(test_parts))
 
 
-def batch_indices(n: int, batch_size: int, seed: int) -> list[np.ndarray]:
-    """Row indices of the batches make_batches builds for n rows: a seeded
-    permutation of range(n) cut into runs of batch_size (the last may be
-    shorter)."""
-    perm = np.random.default_rng(seed).permutation(n)
-    return [perm[start : start + batch_size] for start in range(0, n, batch_size)]
+def make_batches(labels: np.ndarray, batch_size: int, seed: int) -> list[np.ndarray]:
+    """Seeded class-stratified partition of range(len(labels)) into
+    max(1, n // batch_size) sorted index batches.
 
-
-def make_batches(data: Dataset, batch_size: int, seed: int) -> list[Dataset]:
-    """Seeded random partition into batches of batch_size (last may be smaller).
-
-    Every example lands in exactly one batch.  Whether a batch holds enough
-    of each class is `neighbors.check_capacity`'s rule, not this function's.
+    Each class's members are shuffled with the seed, the classes are laid
+    end to end in class order and dealt round-robin.  So the remainder is
+    folded in (sizes differ by at most 1, none below batch_size unless
+    batch_size > n), and each batch's class counts depend on the class sizes
+    alone, never on the seed.  With batch_size >= n the one batch is arange(n).
     """
-    return [data.subset(idx) for idx in batch_indices(len(data), batch_size, seed)]
+    perm = np.random.default_rng(seed).permutation(len(labels))
+    order = perm[np.argsort(labels[perm], kind="stable")]
+    num_batches = max(1, len(labels) // batch_size)
+    return [np.sort(order[b::num_batches]) for b in range(num_batches)]

@@ -31,7 +31,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dataset import Dataset
-from .errors import CapacityError, ConfigError, DimensionError, DivergenceError
+from .errors import (
+    CapacityError,
+    ConfigError,
+    ConsistencyError,
+    DimensionError,
+    DivergenceError,
+)
 
 ENUMERATION_LIMIT = 20  # max visible+hidden units for exact enumeration
 WEIGHT_SCALE = 0.01  # std of the initial weights
@@ -164,7 +170,7 @@ def train_rbm(data: np.ndarray, num_hidden: int, cfg: CdConfig,
     if data.ndim != 2:
         raise DimensionError("training data must be a 2-D matrix")
     if data.size and (data.min() < 0 or data.max() > 1):
-        raise ConfigError("rbm training data must lie in [0, 1]")
+        raise ConsistencyError("rbm training data must lie in [0, 1]")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n, num_visible = data.shape

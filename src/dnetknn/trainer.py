@@ -3,8 +3,9 @@ minimization of the margin objective through the encoder.  CG moves the
 encoder's parameter vector itself; each trial point is wrapped, not copied,
 as `EncoderParams(widths, vector)`.
 
-Each epoch re-partitions the training set with a derived seed (seed + epoch),
-rebuilds the neighbor triples inside every batch, and runs a fixed number of
+Each epoch deals the training set into class-stratified batches with a
+derived seed (seed + epoch), rebuilds the neighbor triples inside every batch
+(one batch reuses the full set's table), and runs a fixed number of
 Polak-Ribiere line searches per batch.  A backtracking (Armijo) line search
 accepts only steps that decrease the batch loss and records the exact value
 it accepted, so the recorded batch loss never increases.  The returned
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import margin
-from .dataset import Dataset, batch_indices, make_batches
+from .dataset import Dataset, make_batches
 from .encoder import EncoderParams, forward
 from .errors import CapacityError, ConfigError, DimensionError, DivergenceError
 from .neighbors import NeighborConfig, build_triples, check_capacity
@@ -145,21 +146,19 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
     return x, trajectory
 
 
-def _check_batch_capacity(train: Dataset, cfg: TrainConfig) -> None:
-    """Refuse a split whose batches cannot all hold a triples table.
+def _check_batch_capacity(train: Dataset, batches: list[np.ndarray],
+                          cfg: TrainConfig) -> None:
+    """Refuse a partition whose batches cannot all hold a triples table.
 
-    Every batch of every epoch must pass `neighbors.check_capacity`, the
-    only batch-size rule (batch_size < 2 * num_classes fails at batch 0).
-    Checked on the partition indices alone, before any table is built.
+    Every batch must pass `neighbors.check_capacity`, the only batch-size
+    rule.  make_batches fixes each batch's class counts whatever the seed,
+    so one epoch's partition stands for all of them.
     """
-    for epoch in range(cfg.epochs):
-        for batch_idx, idx in enumerate(
-                batch_indices(len(train), cfg.batch_size, cfg.seed + epoch)):
-            try:
-                check_capacity(train.labels[idx], train.num_classes, cfg.k + 1, cfg.m)
-            except CapacityError as exc:
-                raise CapacityError(
-                    f"epoch {epoch}, batch {batch_idx} ({idx.size} rows): {exc}") from None
+    for batch_idx, idx in enumerate(batches):
+        try:
+            check_capacity(train.labels[idx], train.num_classes, cfg.k + 1, cfg.m)
+        except CapacityError as exc:
+            raise CapacityError(f"batch {batch_idx} ({idx.size} rows): {exc}") from None
 
 
 def finetune(train: Dataset, cfg: TrainConfig,
@@ -169,9 +168,8 @@ def finetune(train: Dataset, cfg: TrainConfig,
 
     Returns the best parameters seen (by end-of-epoch loss over the full
     training set) and the per-epoch report.  An encoder whose input width
-    is not the data's raises DimensionError, and a batch of any epoch (the
-    full set in single-batch mode) too small for its table fails
-    `neighbors.check_capacity`, both before any table is built.
+    is not the data's raises DimensionError, and a batch too small for its
+    table fails `neighbors.check_capacity`, both before any table is built.
     """
     if init.widths != tuple(cfg.layer_sizes):
         raise DimensionError(
@@ -183,27 +181,19 @@ def finetune(train: Dataset, cfg: TrainConfig,
     features = train.features.astype(dtype, copy=False)
     x = init.vector.astype(dtype)
 
-    single_batch = cfg.batch_size >= len(train)
-    if not single_batch:
-        _check_batch_capacity(train, cfg)
+    _check_batch_capacity(train, make_batches(train.labels, cfg.batch_size, cfg.seed), cfg)
     full_table = build_triples(train, cfg.neighbor_config)
     report = TrainReport()
     best_loss = np.inf
     best_x = x.copy()
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        if single_batch:
-            # one batch holds the whole set every epoch, so the permutation
-            # only relabels rows; reuse the features and the table of the
-            # original order
-            batches = iter([(features, full_table)])
-        else:
-            batches = (
-                (batch.features.astype(dtype, copy=False),
-                 build_triples(batch, cfg.neighbor_config))
-                for batch in make_batches(train, cfg.batch_size, seed=cfg.seed + epoch)
-            )
-        for batch_idx, (batch_features, table) in enumerate(batches):
+        batches = make_batches(train.labels, cfg.batch_size, seed=cfg.seed + epoch)
+        for batch_idx, idx in enumerate(batches):
+            # one batch is arange(n): the full set's features and table
+            batch_features, table = (features, full_table) if len(batches) == 1 else (
+                features[idx], build_triples(train.subset(idx), cfg.neighbor_config))
+
             def objective(vec):
                 result, gradient = margin.loss_and_param_grad(
                     EncoderParams(init.widths, vec), batch_features, table)

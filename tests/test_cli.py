@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dnetknn
@@ -77,6 +78,17 @@ class TestPretrain:
         assert code == 3
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_feature_outside_unit_interval_exits_3(self, tmp_path, capsys):
+        # a data fault, not a configuration one
+        (tmp_path / "d.csv").write_text("0,0.5,2.0\n1,0.25,1.0\n")
+        code = main([
+            "pretrain", "--train-csv", str(tmp_path / "d.csv"),
+            "--layers", "2,2", "--epochs", "1", "--out", str(tmp_path / "o.dnkn"),
+        ])
+        assert code == 3
+        assert "must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "o.dnkn").exists()
+
     def test_bad_layer_start_exits_2(self, digit_files, tmp_path):
         code = main([
             "pretrain", "--train-csv", str(digit_files / "train.csv"),
@@ -137,19 +149,38 @@ class TestFinetune:
         ])
         assert code == 2
 
+    def _finetune_blobs(self, tmp_path, data, batch, k, m):
+        csv, out = tmp_path / "blobs.csv", tmp_path / "o.dnkn"
+        save_csv(data, csv)
+        code = main([
+            "finetune", "--train-csv", str(csv),
+            "--init", "random", "--layers", "4,2", "--k", str(k), "--m", str(m),
+            "--batch", batch, "--epochs", "2", "--cg-iters", "1", "--seed", "0",
+            "--out", str(out),
+        ])
+        return code, out
+
+    def test_ragged_set_trains(self, tmp_path):
+        # 210 rows in batches of 100: two stratified batches of 105 rows
+        data = make_blobs(per_class=21, num_classes=10, dim=4, seed=0)
+        code, out = self._finetune_blobs(tmp_path, data, "100", k=2, m=2)
+        assert code == 0
+        assert load_checkpoint(out).widths == (4, 2)
+
     def test_under_filled_batch_exits_3(self, tmp_path, capsys):
-        # a 10-row tail without class 0, and 12-row batches of 10 classes,
-        # fewer rows than k + 1 = 3 members of each class need
-        for per_class, batch, where in ((21, "100", "epoch 0, batch 2 (10 rows)"),
-                                        (3, "12", "epoch 0, batch 0 (12 rows)")):
-            data = tmp_path / f"blobs{per_class}.csv"
-            out = tmp_path / f"o{per_class}.dnkn"
-            save_csv(make_blobs(per_class=per_class, num_classes=10, dim=4, seed=0), data)
-            code = main([
-                "finetune", "--train-csv", str(data),
-                "--init", "random", "--layers", "4,2", "--k", "2", "--m", "2",
-                "--batch", batch, "--epochs", "1", "--seed", "0", "--out", str(out),
-            ])
+        # a rare class (3 members, dealt 2 and 1 into two batches), m above a
+        # batch's 5 members per class, and 15-row batches of 10 classes with
+        # fewer than k + 1 = 3 members of each
+        blobs = make_blobs(per_class=20, num_classes=3, dim=4, seed=0)
+        rare = blobs.subset(np.concatenate([np.flatnonzero(blobs.labels != 2),
+                                            blobs.class_indices(2)[:3]]))
+        for data, batch, m, where in (
+                (rare, "20", 2, "batch 0 (22 rows): class 2 has 2 members"),
+                (make_blobs(per_class=10, num_classes=3, dim=4, seed=0), "15", 6,
+                 "batch 0 (15 rows): class 0 has 5 members"),
+                (make_blobs(per_class=3, num_classes=10, dim=4, seed=0), "12", 2,
+                 "batch 0 (15 rows)")):
+            code, out = self._finetune_blobs(tmp_path, data, batch, k=2, m=m)
             assert code == 3
             assert where in capsys.readouterr().err
             assert not out.exists()

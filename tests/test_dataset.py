@@ -6,7 +6,6 @@ import pytest
 from dnetknn.dataset import (
     Dataset,
     SplitSpec,
-    batch_indices,
     fixed_split,
     load_csv,
     load_idx,
@@ -143,6 +142,10 @@ class TestDatasetInvariants:
         data = Dataset(np.zeros((2, 3)), np.zeros(2, np.int64), 1)
         with pytest.raises(ValueError):
             data.features[0, 0] = 1.0
+        part = data.subset([1, 0])
+        assert not (np.shares_memory(part.features, data.features)
+                    or np.shares_memory(part.labels, data.labels)
+                    or part.features.flags.writeable or part.labels.flags.writeable)
 
 
 class TestFixedSplit:
@@ -182,42 +185,59 @@ class TestFixedSplit:
             fixed_split(data, SplitSpec(2, 1))
 
 
+def random_labels(rng):
+    """Labels of 2-5 classes with unequal sizes, in shuffled order."""
+    sizes = rng.integers(1, 30, size=int(rng.integers(2, 6)))
+    return rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+
+
 class TestMakeBatches:
+    cases = [(random_labels(np.random.default_rng(case)), batch_size)
+             for case in range(20) for batch_size in (2, 7, 16, 40)]
+
     def test_partition_sizes(self):
-        data = make_digits(per_class=10, side=8, seed=3)  # 100 rows
-        batches = make_batches(data, 40, seed=9)
-        assert [len(b) for b in batches] == [40, 40, 20]
+        for labels, batch_size in self.cases:
+            sizes = [idx.size for idx in make_batches(labels, batch_size, seed=9)]
+            assert len(sizes) == max(1, labels.size // batch_size)
+            assert max(sizes) - min(sizes) <= 1
+            assert sum(sizes) == labels.size
+            if labels.size >= batch_size:
+                assert min(sizes) >= batch_size
 
     def test_partition_is_exact(self):
-        # 25 examples, batch 10 -> 10/10/5 and a disjoint union of the input
-        feats = np.arange(25, dtype=np.float64)[:, None]
-        data = Dataset(feats, np.tile(np.arange(5), 5), 5)
-        batches = make_batches(data, 10, seed=4)
-        assert [len(b) for b in batches] == [10, 10, 5]
-        seen = np.concatenate([b.features.ravel() for b in batches])
-        assert sorted(seen.tolist()) == list(range(25))
+        # a disjoint union of range(n), each batch sorted
+        for labels, batch_size in self.cases:
+            batches = make_batches(labels, batch_size, seed=4)
+            assert all(np.all(np.diff(idx) > 0) for idx in batches)
+            np.testing.assert_array_equal(np.sort(np.concatenate(batches)),
+                                          np.arange(labels.size))
 
-    def test_rows_are_those_of_batch_indices(self):
-        data = make_digits(per_class=5, side=8, seed=2)
-        batches = make_batches(data, 15, seed=3)
-        indices = batch_indices(len(data), 15, seed=3)
-        assert len(batches) == len(indices) == 4
-        for batch, idx in zip(batches, indices):
-            np.testing.assert_array_equal(batch.features, data.features[idx])
-            np.testing.assert_array_equal(batch.labels, data.labels[idx])
+    def test_class_counts_do_not_depend_on_seed(self):
+        for labels, batch_size in self.cases:
+            counts = {seed: [np.bincount(labels[idx], minlength=labels.max() + 1).tolist()
+                             for idx in make_batches(labels, batch_size, seed)]
+                      for seed in range(5)}
+            assert all(c == counts[0] for c in counts.values())
+        # while the members themselves do
+        labels = np.tile(np.arange(3), 20)
+        assert not np.array_equal(make_batches(labels, 10, seed=0)[0],
+                                  make_batches(labels, 10, seed=1)[0])
 
     def test_single_batch_is_permutation(self):
-        feats = np.arange(12, dtype=np.float64)[:, None]
-        data = Dataset(feats, np.tile(np.arange(3), 4), 3)
-        (batch,) = make_batches(data, 50, seed=1)
-        assert sorted(batch.features.ravel().tolist()) == list(range(12))
+        # batch_size >= n: the identity permutation, whatever the seed
+        labels = np.tile(np.arange(3), 4)
+        for batch_size, seed in ((12, 0), (12, 1), (50, 1)):
+            batches = make_batches(labels, batch_size, seed)
+            assert len(batches) == 1
+            np.testing.assert_array_equal(batches[0], np.arange(12))
 
     def test_seeded(self):
-        data = make_digits(per_class=6, side=8, seed=0)
-        b1 = make_batches(data, 20, seed=7)
-        b2 = make_batches(data, 20, seed=7)
-        for x, y in zip(b1, b2):
-            np.testing.assert_array_equal(x.features, y.features)
+        for labels, batch_size in self.cases:
+            first = make_batches(labels, batch_size, seed=7)
+            again = make_batches(labels, batch_size, seed=7)
+            assert len(first) == len(again)
+            for x, y in zip(first, again):
+                np.testing.assert_array_equal(x, y)
 
 
 def test_split_properties_random_cases():

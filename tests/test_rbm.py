@@ -7,7 +7,13 @@ import pytest
 from scipy.special import expit
 
 from dnetknn import rbm
-from dnetknn.errors import CapacityError, ConfigError, DimensionError, DivergenceError
+from dnetknn.errors import (
+    CapacityError,
+    ConfigError,
+    ConsistencyError,
+    DimensionError,
+    DivergenceError,
+)
 from dnetknn.rbm import (
     MOMENTUM_SWITCH_EPOCH,
     CdConfig,
@@ -302,7 +308,7 @@ class TestTraining:
             CdConfig(**{field: value})
 
     def test_rejects_out_of_range_data(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConsistencyError, match="must lie in"):
             train_rbm(np.array([[1.5, 0.0]]), 2, CdConfig(epochs=1))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -229,16 +229,33 @@ class TestFinetune:
         assert len(seen) > 2 * (1 + cfg.cg_line_searches)
         assert set(seen) == {np.dtype(np.float32)}
 
+    def test_ragged_set_trains_in_stratified_batches(self, monkeypatch):
+        # 210 rows in batches of 100: two batches of 105, each holding 10 or
+        # 11 members of every class, in every epoch
+        built = []
+
+        def counting_build_triples(train, cfg):
+            built.append(np.bincount(train.labels, minlength=10).min())
+            return build_triples(train, cfg)
+
+        monkeypatch.setattr(trainer, "build_triples", counting_build_triples)
+        data = make_blobs(per_class=21, num_classes=10, dim=4, seed=0)
+        cfg = TrainConfig(layer_sizes=(4, 2), k=2, m=2, batch_size=100, epochs=2,
+                          cg_line_searches=1, seed=0)
+        _, report = finetune(data, cfg, init_encoder((4, 2), seed=0))
+        assert len(report.losses) == 2
+        assert built == [21, 10, 10, 10, 10]  # the full set, then 2 batches per epoch
+
     @pytest.mark.parametrize("case", [
-        # 21 per class in batches of 100 leaves a 10-row tail without class 0
-        dict(per_class=21, num_classes=10, k=2, m=2, batch_size=100, epochs=1, seed=0,
-             message="epoch 0, batch 2 \\(10 rows\\): class 0 has 0 members"),
-        # epoch 0 splits feasibly; epoch 1's partition does not
-        dict(per_class=10, num_classes=3, k=2, m=3, batch_size=15, epochs=2, seed=7,
-             message="epoch 1, batch"),
-        # 12 rows cannot hold k + 1 = 2 members of each of 10 classes
-        dict(per_class=3, num_classes=10, k=1, m=1, batch_size=12, epochs=1, seed=0,
-             message="epoch 0, batch 0 \\(12 rows\\)"),
+        # class 2 has 3 members, dealt 2 and 1 into the two batches; k + 1 = 3
+        dict(per_class=20, num_classes=3, keep=(2, 3), k=2, m=2, batch_size=20,
+             message="batch 0 \\(22 rows\\): class 2 has 2 members"),
+        # 5 members of each class per batch, fewer than m = 6
+        dict(per_class=10, num_classes=3, keep=None, k=1, m=6, batch_size=15,
+             message="batch 0 \\(15 rows\\): class 0 has 5 members; >= 6"),
+        # 15-row batches cannot hold k + 1 = 2 members of each of 10 classes
+        dict(per_class=3, num_classes=10, keep=None, k=1, m=1, batch_size=12,
+             message="batch 0 \\(15 rows\\): class 1 has 1 members"),
     ])
     def test_under_filled_batch_fails_before_any_table(self, monkeypatch, case):
         built = []
@@ -250,9 +267,12 @@ class TestFinetune:
         monkeypatch.setattr(trainer, "build_triples", counting_build_triples)
         data = make_blobs(per_class=case["per_class"], num_classes=case["num_classes"],
                           dim=4, seed=0)
+        if case["keep"] is not None:  # only the first few members of one class
+            cls, count = case["keep"]
+            data = data.subset(np.concatenate([np.flatnonzero(data.labels != cls),
+                                               data.class_indices(cls)[:count]]))
         cfg = TrainConfig(layer_sizes=(4, 2), k=case["k"], m=case["m"],
-                          batch_size=case["batch_size"], epochs=case["epochs"],
-                          cg_line_searches=1, seed=case["seed"])
+                          batch_size=case["batch_size"], epochs=3, cg_line_searches=1)
         with pytest.raises(CapacityError, match=case["message"]):
             finetune(data, cfg, init_encoder((4, 2), seed=0))
         assert built == []
