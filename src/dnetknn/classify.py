@@ -1,12 +1,13 @@
 """Code-space classifiers: majority-vote kNN and minimum-energy labeling.
 
-Distances and neighbor order come from `neighbors.sq_dists` and
-`neighbors.nearest`: squared Euclidean distance, ties toward the smaller
-training index.  kNN breaks vote ties toward the class of the nearest
-neighbor among the tied classes.  Energy classification hypothesizes each
-class in turn for the test point: its k nearest codes of that class act as
-targets, its m nearest codes of every other class act as impostors, and
-the smallest hinge-energy sum wins (ties toward the smaller class id);
+Distances come from `neighbors.sq_dists`; `neighbors.nearest` selects an
+index-ordered set and kNN ranks its k, ties of the computed distances toward
+the smaller training index.  kNN votes over the classes present (ids may be
+sparse) and breaks vote ties toward the class of the nearest neighbor among
+the tied classes.  Energy classification hypothesizes each class in turn for
+the test point: its k nearest codes of that class act as targets, its m
+nearest codes of every other class act as impostors, and the smallest
+hinge-energy sum wins (ties toward the smaller class id);
 `neighbors.check_capacity` refuses classes too small for k and m.  Energy
 runs on batches of test points, from float64 distances whatever the code
 dtype.  Both search code space: a test point has no pixel-table row.
@@ -65,18 +66,19 @@ def knn_predict(train_codes: np.ndarray, train_labels: np.ndarray,
                 test_codes: np.ndarray, k: int) -> np.recarray:
     """Majority vote among the k nearest training codes of each test code."""
     train_codes, train_labels, test_codes = _checked(train_codes, train_labels, test_codes)
-    n = train_codes.shape[0]
-    check_k(k, n)
-    num_classes = int(train_labels.max()) + 1
+    check_k(k, train_codes.shape[0])
+    classes, dense = np.unique(train_labels, return_inverse=True)
 
     def vote(dists):
-        labels = train_labels[nearest(dists, k, np.arange(n))]  # (B, k), nearest first
+        chosen = nearest(dists, k)  # (B, k) column sets; rank them nearest first
+        order = np.argsort(np.take_along_axis(dists, chosen, axis=1), axis=1, kind="stable")
+        labels = dense[np.take_along_axis(chosen, order, axis=1)]
         rows = np.arange(labels.shape[0])
-        votes = np.zeros((rows.size, num_classes), dtype=np.int64)
+        votes = np.zeros((rows.size, classes.size), dtype=np.int64)
         np.add.at(votes, (rows[:, None], labels), 1)
         counts = votes[rows[:, None], labels]  # the votes of each neighbor's class
         first = counts.argmax(axis=1)  # nearest neighbor among the top-voted classes
-        return labels[rows, first], counts[rows, first]
+        return classes[labels[rows, first]], counts[rows, first]
 
     return _predict(train_codes, test_codes, vote)
 

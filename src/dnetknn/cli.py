@@ -287,7 +287,7 @@ def _cmd_finetune(cfg: dict) -> int:
     )
     data = _load_split(cfg, "train")
     params, report = trainer.finetune(data, train_cfg, init_params)
-    encoder.save_checkpoint(params.astype("float64"), cfg["out"])
+    encoder.save_checkpoint(params, cfg["out"])
     report_path = cfg["report"] or (str(cfg["out"]) + ".report.csv")
     report.save(report_path)
     cfg["report"] = report_path

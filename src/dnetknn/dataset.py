@@ -147,12 +147,14 @@ def save_idx(data: Dataset, images_path, labels_path) -> None:
 
     Features are scaled back by 255 and rounded to bytes, so the round trip
     is exact only for data that originated as 8-bit pixels.  The feature
-    length must be a perfect square.
+    length must be a perfect square and every label must fit in a byte.
     """
     n = len(data)
     side = int(round(data.dim ** 0.5))
     if side * side != data.dim:
         raise ConfigError(f"feature length {data.dim} is not square")
+    if n and data.labels.max() > 255:
+        raise ConfigError(f"label {data.labels.max()} does not fit in an IDX label byte")
     pixels = np.clip(np.round(data.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGE_MAGIC, n, side, side))

@@ -101,9 +101,6 @@ class EncoderParams:
     def dtype(self):
         return self.vector.dtype
 
-    def astype(self, dtype) -> "EncoderParams":
-        return EncoderParams(self.widths, self.vector.astype(dtype))
-
 
 def init_encoder(layer_sizes, seed: int = 0, weight_scale: float = 0.01) -> EncoderParams:
     """Random float64 encoder: zero-mean Gaussian weights (std weight_scale),

@@ -1,14 +1,13 @@
 """Pixel-space neighbor selection: same-class target neighbors, per-foreign-
 class impostor neighbors, and the (anchor, target, impostor) triples table.
 
-Neighbors are chosen once in the original feature space by exact squared
-Euclidean distance and are never refreshed while the codes move.  Distance
-ties break toward the smaller index so tables are reproducible; `classify`
-shares that rule through `sq_dists` and `nearest`.  `nearest` selects
-partially: it finds each row's count-th smallest distance, takes every
-column below it and the tied columns in index order, and sorts only the
-chosen few.  `sq_dists` refuses non-finite distances, so that order is
-never asked of a NaN.
+Neighbors are chosen once in the original feature space by squared
+Euclidean distance and are never refreshed while the codes move.  `nearest`
+selects an index-ordered set; kNN in `classify` ranks its k.  Ties break
+toward the smaller index, and a tie means equal computed float distances:
+points equally far in exact arithmetic can compute unequal distances, and
+then the smaller one wins.  `sq_dists` refuses non-finite distances, so no
+selection sees a NaN.
 
 The table stays factored: row i holds anchor i's k targets and its
 M = m * (c-1) impostors, n * (k + M) indices in all.  Its n * k * M rows
@@ -114,19 +113,18 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
-def nearest(dists: np.ndarray, count: int, candidates: np.ndarray) -> np.ndarray:
-    """First `count` candidates per row, nearest first by (distance, index).
+def nearest(dists: np.ndarray, count: int) -> np.ndarray:
+    """Each row's `count` nearest column positions by (distance, column), as
+    an ascending int64 set.
 
-    Column j of `dists` is the distance to `candidates[j]`, and `candidates`
-    must be ascending, so ties break toward the smaller global index; `inf`
-    is an ordinary distance, NaN is not allowed, and count may not exceed
-    the column count.  The result equals the first `count` columns of a
-    stable argsort of each row, but only the chosen columns get sorted: a
-    partition finds the count-th smallest distance, every column below it
-    is in, and columns equal to it fill the remaining room in index order.
+    `inf` is an ordinary distance, NaN is not allowed, and count may not
+    exceed the column count.  The set equals the first `count` columns of a
+    stable argsort of the row, but nothing is sorted: a partition finds the
+    count-th smallest distance, every column below it is in, and columns
+    equal to it fill the remaining room in index order.
     """
     rows, cols = dists.shape
-    out = np.empty((rows, count), dtype=candidates.dtype)
+    out = np.empty((rows, count), dtype=np.int64)
     step = max(1, _CHUNK_CELLS // cols)
     for start in range(0, rows, step):
         d = dists[start : start + step]
@@ -138,9 +136,7 @@ def nearest(dists: np.ndarray, count: int, candidates: np.ndarray) -> np.ndarray
             ties = d[tied] == bound[tied]
             room = ties.sum(axis=1, keepdims=True) - over[tied, None]
             chosen[tied] &= ~ties | (np.cumsum(ties, axis=1) <= room)
-        picked = np.nonzero(chosen)[1].reshape(-1, count)  # ascending per row
-        order = np.argsort(np.take_along_axis(d, picked, axis=1), axis=1, kind="stable")
-        out[start : start + step] = candidates[np.take_along_axis(picked, order, axis=1)]
+        out[start : start + step] = np.nonzero(chosen)[1].reshape(-1, count)
     return out
 
 
@@ -154,7 +150,8 @@ def check_capacity(labels: np.ndarray, num_classes: int, targets: int, impostors
     if impostors and num_classes < 2:
         raise CapacityError("impostor selection needs at least two classes")
     need = max(targets, impostors)
-    counts = np.bincount(labels, minlength=num_classes)
+    bins = min(num_classes, labels.size + 1)  # n labels cannot fill ids 0..n
+    counts = np.bincount(labels[labels < bins], minlength=bins)
     short = np.flatnonzero(counts < need)
     if short.size:
         cls = int(short[0])
@@ -173,7 +170,7 @@ def target_neighbors(train: Dataset, k: int) -> np.ndarray:
         idx = train.class_indices(cls)
         d = sq_dists(train.features[idx], train.features[idx])
         np.fill_diagonal(d, np.inf)
-        out[idx] = np.sort(nearest(d, k, idx), axis=1)
+        out[idx] = idx[nearest(d, k)]
     return out
 
 
@@ -188,13 +185,10 @@ def impostor_neighbors(train: Dataset, m: int) -> np.ndarray:
     out = np.empty((len(train), m * (c - 1)), dtype=np.int64)
     for anchor_cls in range(c):
         a_idx = per_class[anchor_cls]
-        blocks = []
-        for foreign_cls in range(c):
-            if foreign_cls == anchor_cls:
-                continue
-            f_idx = per_class[foreign_cls]
-            d = sq_dists(train.features[a_idx], train.features[f_idx])
-            blocks.append(nearest(d, m, f_idx))
+        anchors = train.features[a_idx]
+        blocks = [f_idx[nearest(sq_dists(anchors, train.features[f_idx]), m)]
+                  for cls, f_idx in enumerate(per_class) if cls != anchor_cls]
+        # each block is ascending, but the classes' indices interleave
         out[a_idx] = np.sort(np.concatenate(blocks, axis=1), axis=1)
     return out
 

@@ -185,6 +185,20 @@ class TestFinetune:
             assert where in capsys.readouterr().err
             assert not out.exists()
 
+    def test_float32_run_saves_float64_checkpoint(self, digit_files, tmp_path):
+        out = tmp_path / "f32.dnkn"
+        code = main([
+            "finetune", "--train-csv", str(digit_files / "train.csv"),
+            "--init", "random", "--layers", "64,8,4", "--dtype", "float32",
+            "--k", "1", "--m", "1", "--epochs", "1", "--cg-iters", "1",
+            "--out", str(out),
+        ])
+        assert code == 0
+        vector = load_checkpoint(out).vector
+        assert vector.dtype == np.float64
+        # trained in float32, so every stored value is a float32 value
+        assert vector.astype(np.float32).astype(np.float64).tobytes() == vector.tobytes()
+
     def test_random_init(self, digit_files, tmp_path):
         code = main([
             "finetune", "--train-csv", str(digit_files / "train.csv"),
@@ -445,6 +459,30 @@ class TestEval:
             "--mode", "knn",
         ])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["eval", "--mode", "knn", "--k", "1"], 0, None),
+    (["eval", "--mode", "energy", "--k", "1", "--m", "1"], 3, "class 1 has 0 members"),
+    (["finetune", "--init", "random", "--layers", "2,2", "--k", "1", "--m", "1"], 3,
+     "batch 0 (6 rows): class 1 has 0 members"),
+])
+def test_sparse_class_ids_allocate_nothing_per_id(tmp_path, capsys, argv, code, message):
+    # ids 0 and 10**12: no array may be sized by the largest id
+    (tmp_path / "d.csv").write_text("".join(
+        f"{label},{x},{x % 2}\n" for x, label in enumerate([0, 0, 0] + [10**12] * 3)))
+    save_checkpoint(encoder.init_encoder((2, 2), seed=0), tmp_path / "m.dnkn")
+    files = {"eval": ["--train-csv", str(tmp_path / "d.csv"),
+                      "--test-csv", str(tmp_path / "d.csv"),
+                      "--model", str(tmp_path / "m.dnkn")],
+             "finetune": ["--train-csv", str(tmp_path / "d.csv"),
+                          "--out", str(tmp_path / "o.dnkn")]}
+    assert main(argv + files[argv[0]]) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert captured.out.startswith("dnet-knn,test,")
+    else:
+        assert message in captured.err
 
 
 class TestEmbed:

@@ -98,6 +98,15 @@ class TestLoadIdx:
         with pytest.raises(ConfigError, match="feature length 6 is not square"):
             save_idx(data, tmp_path / "i.idx", tmp_path / "l.idx")
 
+    def test_save_refuses_labels_above_a_byte(self, tmp_path):
+        data = Dataset(np.zeros((2, 4)), np.array([0, 300]), 301)
+        with pytest.raises(ConfigError, match="label 300 does not fit"):
+            save_idx(data, tmp_path / "i.idx", tmp_path / "l.idx")
+        assert not (tmp_path / "l.idx").exists()
+        save_idx(Dataset(np.zeros((2, 4)), np.array([0, 255]), 256),
+                 tmp_path / "i.idx", tmp_path / "l.idx")
+        assert load_idx(tmp_path / "i.idx", tmp_path / "l.idx").labels.tolist() == [0, 255]
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

@@ -106,7 +106,8 @@ class TestForward:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_uncached_forward_matches_cached_bit_for_bit(self, dtype):
-        params = random_params([10, 7, 4, 3, 2], seed=5).astype(dtype)
+        p = random_params([10, 7, 4, 3, 2], seed=5)
+        params = EncoderParams(p.widths, p.vector.astype(dtype))
         x = np.random.default_rng(6).standard_normal((9, 10)).astype(dtype)
         got = forward(params, x)
         assert got.dtype == dtype

@@ -293,7 +293,8 @@ class TestLossAndParamGrad:
         # counts; it must equal the whole chain recomputed at the same point
         data = make_blobs(per_class=12, num_classes=3, dim=6, seed=34)
         table = build_triples(data, NeighborConfig(k=2, m=3))
-        params = random_params([6, 5, 3], seed=35).astype(dtype)
+        p = random_params([6, 5, 3], seed=35)
+        params = EncoderParams(p.widths, p.vector.astype(dtype))
         x = data.features.astype(dtype)
         result, gradient = loss_and_param_grad(params, x, table)
         assert 0 < result.active_triples < len(table)
