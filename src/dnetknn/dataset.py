@@ -8,6 +8,7 @@ with an integer label in the first column and D real features after it.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -87,44 +88,34 @@ class Dataset:
         return np.flatnonzero(self.labels == label)
 
 
+def _read_idx(path, magic: int, kind: str, dims: int) -> tuple[list[int], bytes]:
+    """The `dims` sizes and the payload of an IDX file, after checking the
+    header's length, its magic and that the payload holds their product."""
+    size = 4 * (dims + 1)
+    with open(path, "rb") as f:
+        header = f.read(size)
+        if len(header) < size:
+            raise FormatError(f"{path}: {kind} header shorter than {size} bytes")
+        found, *sizes = struct.unpack(f">{dims + 1}I", header)
+        if found != magic:
+            raise FormatError(f"{path}: bad {kind} magic {found} (expected {magic})")
+        payload = f.read()
+    expected = math.prod(sizes)  # Python ints: a product of 32-bit sizes cannot wrap
+    if len(payload) != expected:
+        raise ConsistencyError(
+            f"{path}: payload holds {len(payload)} bytes, header promises {expected}"
+        )
+    return sizes, payload
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Read an IDX image/label file pair into a Dataset.
 
     Pixel bytes are scaled by 1/255 so features land in [0, 1].  Row order
     is preserved from the files.
     """
-    with open(images_path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise FormatError(f"{images_path}: image header shorter than 16 bytes")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IMAGE_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic {magic} (expected {IMAGE_MAGIC})"
-            )
-        payload = f.read()
-    expected = count * rows * cols
-    if len(payload) != expected:
-        raise ConsistencyError(
-            f"{images_path}: payload holds {len(payload)} bytes, "
-            f"header promises {expected}"
-        )
-
-    with open(labels_path, "rb") as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise FormatError(f"{labels_path}: label header shorter than 8 bytes")
-        magic, label_count = struct.unpack(">II", header)
-        if magic != LABEL_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad label magic {magic} (expected {LABEL_MAGIC})"
-            )
-        label_payload = f.read()
-    if len(label_payload) != label_count:
-        raise ConsistencyError(
-            f"{labels_path}: payload holds {len(label_payload)} bytes, "
-            f"header promises {label_count}"
-        )
+    (count, rows, cols), payload = _read_idx(images_path, IMAGE_MAGIC, "image", 3)
+    (label_count,), label_payload = _read_idx(labels_path, LABEL_MAGIC, "label", 1)
     if label_count != count:
         raise ConsistencyError(
             f"image file has {count} items but label file has {label_count}"
@@ -203,6 +194,9 @@ def fixed_split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     if spec.shuffle_seed is not None:
         rng = np.random.default_rng(spec.shuffle_seed)
     need = spec.per_class_train + spec.per_class_test
+    if need == 0:  # nothing to take, so no class id is visited (ids may be sparse)
+        empty = data.subset([])
+        return empty, empty
     train_parts, test_parts = [], []
     for cls in range(data.num_classes):
         idx = data.class_indices(cls)

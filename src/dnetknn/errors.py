@@ -14,7 +14,7 @@ class ConsistencyError(DnetKnnError):
 
 
 class CapacityError(DnetKnnError):
-    """The data cannot satisfy a neighbor/split/enumeration request."""
+    """The data cannot satisfy a neighbor or split request."""
 
 
 class ConfigError(DnetKnnError):

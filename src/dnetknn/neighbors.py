@@ -11,7 +11,7 @@ selection sees a NaN.
 
 The table stays factored: row i holds anchor i's k targets and its
 M = m * (c-1) impostors, n * (k + M) indices in all.  Its n * k * M rows
-are that per-anchor cross product and are materialized only on request.
+are that per-anchor cross product.
 """
 
 from __future__ import annotations
@@ -75,18 +75,6 @@ class TriplesTable:
 
     def __len__(self) -> int:
         return self.targets.shape[0] * self.targets.shape[1] * self.impostors.shape[1]
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The (T, 3) row array, built on demand: anchor-major, then target
-        column, then impostor column."""
-        n, k = self.targets.shape
-        m = self.impostors.shape[1]
-        return np.column_stack((
-            np.repeat(np.arange(n, dtype=np.int64), k * m),
-            np.repeat(self.targets, m, axis=1).ravel(),
-            np.tile(self.impostors, (1, k)).ravel(),
-        ))
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Restricted Boltzmann machines: one-step contrastive divergence training,
-greedy stacking, and an exact-likelihood oracle for tiny models.
+"""Restricted Boltzmann machines: one-step contrastive divergence training
+and greedy stacking.
 
 The model is binary-binary: real-valued inputs in [0, 1] are treated as
 Bernoulli probabilities on the visible units.  The one-step sampling policy
@@ -12,9 +12,9 @@ probabilities.  Each mini-batch updates the weights by momentum
 
 with the analogous probability-difference updates for both bias vectors
 (no decay on biases).  A step runs `hidden_given_visible` twice and
-`visible_given_hidden` once, the conditionals the enumeration oracle
-checks, then updates the machine's arrays in place; it allocates nothing
-weight-sized.
+`visible_given_hidden` once, the conditionals the tests check against an
+enumerated joint distribution, then updates the machine's arrays in place;
+it allocates nothing weight-sized.
 
 Every logistic unit goes through `sigmoid`, which evaluates 1/(1+exp(-z))
 with numpy ufuncs, in place when asked.  It saturates to exactly 0 and 1
@@ -24,22 +24,13 @@ which the tests keep as its oracle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataset import Dataset
-from .errors import (
-    CapacityError,
-    ConfigError,
-    ConsistencyError,
-    DimensionError,
-    DivergenceError,
-)
+from .errors import ConfigError, ConsistencyError, DimensionError, DivergenceError
 
-ENUMERATION_LIMIT = 20  # max visible+hidden units for exact enumeration
 WEIGHT_SCALE = 0.01  # std of the initial weights
 MOMENTUM_SWITCH_EPOCH = 5  # epochs trained at initial_momentum before momentum
 
@@ -169,6 +160,8 @@ def train_rbm(data: np.ndarray, num_hidden: int, cfg: CdConfig,
         data = data.astype(np.float64)
     if data.ndim != 2:
         raise DimensionError("training data must be a 2-D matrix")
+    if data.shape[0] == 0:
+        raise ConsistencyError("rbm training needs at least one row")
     if data.size and (data.min() < 0 or data.max() > 1):
         raise ConsistencyError("rbm training data must lie in [0, 1]")
     if rng is None:
@@ -233,39 +226,3 @@ def train_stack(data: Dataset, layer_sizes, cfg: CdConfig, dtype=None) -> list[R
         stack.append(machine)
         activations = hidden_given_visible(machine, activations)
     return stack
-
-
-def _binary_configs(k: int) -> np.ndarray:
-    return np.array(list(itertools.product((0.0, 1.0), repeat=k)), dtype=np.float64)
-
-
-def log_prob_visible(rbm: Rbm, rows: np.ndarray) -> np.ndarray:
-    """log p(v) for each row, by full enumeration of the joint distribution.
-
-    The partition function sums exp(-E) over all 2^(V+H) configurations, so
-    V+H is capped at ENUMERATION_LIMIT.
-    """
-    total = rbm.num_visible + rbm.num_hidden
-    if total > ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"enumeration needs visible+hidden <= {ENUMERATION_LIMIT}, got {total}"
-        )
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.shape[1] != rbm.num_visible:
-        raise DimensionError(
-            f"rows have width {rows.shape[1]}, expected {rbm.num_visible}"
-        )
-    vs = _binary_configs(rbm.num_visible)
-    hs = _binary_configs(rbm.num_hidden)
-    # -E over the full grid of (v, h) pairs
-    neg_energy_all = vs @ rbm.weights @ hs.T + (vs @ rbm.visible_bias)[:, None] \
-        + (hs @ rbm.hidden_bias)[None, :]
-    log_z = logsumexp(neg_energy_all)
-    neg_energy_rows = rows @ rbm.weights @ hs.T + (rows @ rbm.visible_bias)[:, None] \
-        + (hs @ rbm.hidden_bias)[None, :]
-    return logsumexp(neg_energy_rows, axis=1) - log_z
-
-
-def exact_log_likelihood(rbm: Rbm, rows: np.ndarray) -> float:
-    """Mean log p(v) over the given rows (enumeration oracle, tiny models only)."""
-    return float(log_prob_visible(rbm, rows).mean())

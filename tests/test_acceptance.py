@@ -29,7 +29,6 @@ from dnetknn.encoder import (
 from dnetknn.neighbors import NeighborConfig, build_triples
 from dnetknn.rbm import (
     CdConfig,
-    exact_log_likelihood,
     hidden_given_visible,
     init_rbm,
     train_rbm,
@@ -38,6 +37,7 @@ from dnetknn.rbm import (
 )
 from dnetknn.trainer import TrainConfig, finetune
 
+from _oracles import exact_log_likelihood, log_prob_visible, triple_rows
 from _synthetic import make_blobs, make_digits
 from test_margin import fd_gradient, norm_relative_error, random_table
 from test_neighbors import integer_dataset, oracle_triples
@@ -182,7 +182,7 @@ def test_criterion_2_triples_exactness():
         if len(table) != expected_rows:
             ok, worst = False, f"row count {len(table)} != {expected_rows}"
             break
-        if not np.array_equal(table.rows, oracle_triples(data, cfg)):
+        if not np.array_equal(triple_rows(table), oracle_triples(data, cfg)):
             ok, worst = False, f"mismatch vs oracle on config {checked}"
             break
     report(2, "triples exactness", ok,
@@ -210,8 +210,6 @@ def test_criterion_3_rbm_oracle():
         for i in range(3):
             marginal = sum(joint[(v, h)] for v in vs if v[i] == 1)
             cond_err = max(cond_err, abs(got[i] - marginal / ph))
-
-    from dnetknn.rbm import log_prob_visible
 
     all_v = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
     prob_sum = float(np.exp(log_prob_visible(machine, all_v)).sum())

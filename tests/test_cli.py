@@ -10,7 +10,7 @@ import pytest
 import dnetknn
 from dnetknn import encoder
 from dnetknn.cli import main
-from dnetknn.dataset import load_csv, save_csv, save_idx
+from dnetknn.dataset import Dataset, load_csv, save_csv, save_idx
 from dnetknn.encoder import EncoderParams, load_checkpoint, save_checkpoint
 
 from _synthetic import make_blobs, make_digits
@@ -106,6 +106,21 @@ class TestPretrain:
             "--out", str(tmp_path / "o.dnkn"),
         ])
         assert code == 0
+
+    def test_empty_idx_pair_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        empty = Dataset(np.empty((0, 64)), np.empty(0, dtype=np.int64), 1)
+        save_idx(empty, tmp_path / "images.idx", tmp_path / "labels.idx")
+        code = main([
+            "pretrain",
+            "--train-images", str(tmp_path / "images.idx"),
+            "--train-labels", str(tmp_path / "labels.idx"),
+            "--layers", "64,8", "--epochs", "1",
+            "--out", str(tmp_path / "o.dnkn"),
+        ])
+        assert code == 3
+        assert "at least one row" in capsys.readouterr().err
+        assert not (tmp_path / "o.dnkn").exists()
+        assert not (tmp_path / "o.dnkn.manifest").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -550,6 +565,19 @@ class TestSplit:
         ])
         assert code == 2
 
+    def test_zero_counts_on_sparse_class_ids_finish(self, tmp_path):
+        # ids 0 and 10**12 with nothing to take: no loop may visit every id
+        (tmp_path / "d.csv").write_text("".join(
+            f"{label},{x}\n" for x, label in enumerate([0, 0, 0] + [10**12] * 3)))
+        done = subprocess.run(
+            [sys.executable, "-m", "dnetknn.cli", "split", "--csv", str(tmp_path / "d.csv"),
+             "--per-class-train", "0", "--per-class-test", "0",
+             "--out-train", str(tmp_path / "tr.csv"), "--out-test", str(tmp_path / "te.csv")],
+            env=_package_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "tr.csv").read_text() == ""
+        assert (tmp_path / "te.csv").read_text() == ""
+
 
 @pytest.mark.parametrize("command", ["split", "pretrain", "finetune"])
 def test_rerun_from_manifest_reproduces_outputs(digit_files, tmp_path, command):
@@ -632,6 +660,19 @@ def test_threads_applies_in_a_fresh_process(digit_files, tmp_path):
         env=_package_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert len(load_csv(tmp_path / "tr.csv")) == 20
+
+
+def test_no_scipy_outside_margin_and_trainer():
+    # margin's scipy.sparse is the library's only scipy import, and only
+    # trainer imports margin; every other module loads without scipy
+    script = ("import sys\n"
+              "import dnetknn.cli, dnetknn.classify, dnetknn.dataset, dnetknn.encoder, "
+              "dnetknn.neighbors, dnetknn.rbm\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_runs_as_a_module(digit_files, tmp_path):

@@ -80,6 +80,14 @@ class TestLoadIdx:
         with pytest.raises(ConsistencyError, match="promises 16"):
             load_idx(img, lab)
 
+    def test_header_sizes_multiply_without_wrapping(self, tmp_path):
+        # 2^31 * 2^31 * 4 is 2^64, which wraps to 0 in int64 and would
+        # match the empty payload
+        img, lab = write_idx_pair(tmp_path, np.zeros((0, 4), np.uint8), [], 2**31, 4,
+                                  image_count=2**31)
+        with pytest.raises(ConsistencyError, match=f"promises {2**64}"):
+            load_idx(img, lab)
+
     def test_short_header(self, tmp_path):
         path = tmp_path / "short.idx"
         path.write_bytes(struct.pack(">II", 2051, 1))
@@ -192,6 +200,12 @@ class TestFixedSplit:
         data = Dataset(np.zeros((5, 2)), np.array([0, 0, 0, 1, 1]), 2)
         with pytest.raises(CapacityError, match="class 1"):
             fixed_split(data, SplitSpec(2, 1))
+
+    def test_capacity_error_names_an_absent_class(self):
+        # ids 0 and 2: the loop stops at id 1, so it visits at most n + 1 ids
+        data = Dataset(np.zeros((4, 2)), np.array([0, 0, 2, 2]), 3)
+        with pytest.raises(CapacityError, match="class 1 has 0 examples"):
+            fixed_split(data, SplitSpec(1, 1))
 
 
 def random_labels(rng):

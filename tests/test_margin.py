@@ -13,6 +13,7 @@ from dnetknn.margin import (
 )
 from dnetknn.neighbors import NeighborConfig, TriplesTable, build_triples
 
+from _oracles import triple_rows
 from _synthetic import make_blobs
 from test_encoder import random_params
 from test_neighbors import integer_dataset
@@ -107,7 +108,7 @@ class TestLossAndCodeGrad:
             codes = rng.standard_normal((n, int(rng.integers(1, 5))))
             table = random_table(rng, labels, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
             result, grad = code_grad(codes, table)
-            want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
+            want_value, want_active, want_grad = oracle_loss_and_grad(codes, triple_rows(table))
             assert result.value == pytest.approx(want_value, abs=1e-12)
             assert result.active_triples == want_active
             np.testing.assert_allclose(grad, want_grad, atol=1e-10)
@@ -124,11 +125,11 @@ class TestLossAndCodeGrad:
             labels[:6] = [0, 1, 2, 0, 1, 2]
             codes = rng.integers(-2, 3, size=(n, int(rng.integers(1, 4)))).astype(dtype)
             table = random_table(rng, labels, int(rng.integers(1, 4)), int(rng.integers(1, 7)))
-            i, l, j = table.rows.T
+            i, l, j = triple_rows(table).T
             z = 1 + ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1)
             on_kink += int((z == 0).any())
             result, grad = code_grad(codes, table)
-            want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
+            want_value, want_active, want_grad = oracle_loss_and_grad(codes, triple_rows(table))
             assert (result.value, result.active_triples) == (want_value, want_active)
             assert grad.dtype == codes.dtype
             np.testing.assert_array_equal(grad, want_grad)
@@ -142,7 +143,7 @@ class TestLossAndCodeGrad:
         table = random_table(rng, labels, 5, 40)
         assert len(table) == 12_000
         result, grad = code_grad(codes, table)
-        want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
+        want_value, want_active, want_grad = oracle_loss_and_grad(codes, triple_rows(table))
         assert result.value == pytest.approx(want_value, rel=1e-12)
         assert result.active_triples == want_active
         np.testing.assert_allclose(grad, want_grad, atol=1e-10)
@@ -154,7 +155,7 @@ class TestLossAndCodeGrad:
         codes = rng.standard_normal((20, 3))
         table = random_table(rng, labels, 1, 3)
         # keep every row away from the hinge kink so differencing is valid
-        i, l, j = table.rows.T
+        i, l, j = triple_rows(table).T
         z = 1.0 + ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1)
         assert np.abs(z).min() > 1e-3
         _, grad = code_grad(codes, table)
@@ -216,7 +217,7 @@ class TestFactoredTable:
     TOLERANCES = {np.float64: (1e-12, 1e-10), np.float32: (1e-5, 1e-5)}
 
     def check(self, codes, table):
-        want_value, want_active, want_grad = oracle_loss_and_grad(codes, table.rows)
+        want_value, want_active, want_grad = oracle_loss_and_grad(codes, triple_rows(table))
         value_tol, grad_tol = self.TOLERANCES[codes.dtype.type]
         only = loss(codes, table)
         result, grad = code_grad(codes, table)
@@ -242,7 +243,7 @@ class TestFactoredTable:
             checked += 1
             table = build_triples(data, cfg)
             codes = data.features.astype(dtype)
-            i, l, j = table.rows.T
+            i, l, j = triple_rows(table).T
             z = ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1) + 1
             assert (z == 0).any()
             self.check(codes, table)
@@ -345,11 +346,11 @@ class TestLossAndParamGrad:
         params = EncoderParams.from_layers([(w, np.zeros(2))])
         table = random_table(rng, labels, 1, 3)
         codes = x @ w
-        i, l, j = table.rows.T
+        i, l, j = triple_rows(table).T
         z = 1.0 + ((codes[i] - codes[l]) ** 2).sum(1) - ((codes[i] - codes[j]) ** 2).sum(1)
         act = z > 0
         dw_hand = np.zeros_like(w)
-        for ii, ll, jj in table.rows[act]:
+        for ii, ll, jj in triple_rows(table)[act]:
             dl = (x[ii] - x[ll])[:, None]
             dj = (x[ii] - x[jj])[:, None]
             dw_hand += 2.0 * (dl @ dl.T - dj @ dj.T) @ w

@@ -14,6 +14,8 @@ from dnetknn.neighbors import (
     target_neighbors,
 )
 
+from _oracles import triple_rows
+
 
 def oracle_nearest(dists, count):
     """Full-row reference: the first `count` columns of a stable argsort, as
@@ -247,7 +249,7 @@ class TestBuildTriples:
         labels = np.array([0, 0, 1, 1])
         data = Dataset(feats, labels, 2)
         table = build_triples(data, NeighborConfig(k=1, m=1))
-        assert table.rows.tolist() == [
+        assert triple_rows(table).tolist() == [
             [0, 1, 2],
             [1, 0, 2],
             [2, 3, 1],
@@ -298,7 +300,7 @@ class TestBuildTriples:
             if counts.min() < max(cfg.k + 1, cfg.m):
                 continue
             table = build_triples(data, cfg)
-            np.testing.assert_array_equal(table.rows, oracle_triples(data, cfg))
+            np.testing.assert_array_equal(triple_rows(table), oracle_triples(data, cfg))
 
     def test_table_invariants_random_cases(self):
         rng = np.random.default_rng(6)
@@ -311,11 +313,11 @@ class TestBuildTriples:
                 continue
             checked += 1
             table = build_triples(data, cfg)
-            i, l, j = table.rows.T
+            i, l, j = triple_rows(table).T
             assert np.all(data.labels[i] == data.labels[l])
             assert np.all(i != l)
             assert np.all(data.labels[i] != data.labels[j])
-            as_set = set(map(tuple, table.rows.tolist()))
+            as_set = set(map(tuple, triple_rows(table).tolist()))
             assert len(as_set) == len(table)
             assert len(table) == len(data) * cfg.k * (data.num_classes - 1) * cfg.m
 
@@ -339,7 +341,7 @@ class TestRigidMotionInvariance:
                             data.labels, data.num_classes)
             before = build_triples(data, cfg)
             after = build_triples(moved, cfg)
-            np.testing.assert_array_equal(before.rows, after.rows)
+            np.testing.assert_array_equal(triple_rows(before), triple_rows(after))
 
 
 def test_config_validation():

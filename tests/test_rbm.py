@@ -8,7 +8,6 @@ from scipy.special import expit
 
 from dnetknn import rbm
 from dnetknn.errors import (
-    CapacityError,
     ConfigError,
     ConsistencyError,
     DimensionError,
@@ -18,16 +17,15 @@ from dnetknn.rbm import (
     MOMENTUM_SWITCH_EPOCH,
     CdConfig,
     Rbm,
-    exact_log_likelihood,
     hidden_given_visible,
     init_rbm,
-    log_prob_visible,
     sigmoid,
     train_rbm,
     train_stack,
     visible_given_hidden,
 )
 
+from _oracles import exact_log_likelihood, log_prob_visible
 from _synthetic import make_digits
 
 
@@ -311,6 +309,13 @@ class TestTraining:
         with pytest.raises(ConsistencyError, match="must lie in"):
             train_rbm(np.array([[1.5, 0.0]]), 2, CdConfig(epochs=1))
 
+    def test_refuses_zero_rows_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConsistencyError, match="at least one row"):
+            train_rbm(np.empty((0, 4)), 2, CdConfig(epochs=1), rng)
+        assert rng.bit_generator.state == state  # no weights were initialized
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_allocating_reference_bit_for_bit(self, dtype):
         # 53 rows in mini-batches of 10 leave a ragged last batch; 7 epochs
@@ -398,8 +403,3 @@ class TestExactLikelihood:
         all_v = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
         probs = np.exp(log_prob_visible(machine, all_v))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_size_guard(self):
-        machine = Rbm(np.zeros((15, 15)), np.zeros(15), np.zeros(15))
-        with pytest.raises(CapacityError):
-            exact_log_likelihood(machine, np.zeros((1, 15)))
