@@ -118,7 +118,7 @@ def error_rate(predictions: np.recarray, true_labels) -> float:
             f"{len(predictions)} predictions vs {truth.shape[0]} labels"
         )
     if truth.size == 0:
-        return 0.0
+        raise CapacityError("an error rate needs at least one prediction")
     return float((predictions.label != truth).mean())
 
 

@@ -18,8 +18,9 @@ prints writes none).  It records the resolved values, with paths made
 absolute, so any run can be reproduced from its manifest alone, from any
 working directory.
 
-Exit codes: 0 ok, 2 configuration error, 3 io/data error, 4 numerical
-divergence.
+A handler returns nothing or raises; ``main`` alone turns a run into an exit
+status: 0 ok, else the raised error's ``exit_code`` (see `errors`; 2 config, 3
+io/data, 4 numerical divergence), or 3 for an ``OSError``.
 
 numpy is imported lazily so that ``--threads`` can pin the BLAS thread
 pools before they start; ``main`` refuses ``--threads`` (exit 2) in a
@@ -34,19 +35,10 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-from .errors import (
-    CapacityError,
-    ConfigError,
-    ConsistencyError,
-    DimensionError,
-    DivergenceError,
-    FormatError,
-)
+from .errors import CapacityError, ConfigError, DnetKnnError
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_NUMERIC = 4
 
 
 def _bool(text: str) -> bool:
@@ -56,6 +48,13 @@ def _bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
 
 
 # absolute, so that a manifest reruns from any working directory
@@ -106,7 +105,7 @@ _OPTIONS = {
     "initial_momentum": Option(float, 0.5),
     "weight_decay": Option(float, 2e-4),
     "mini_batch": Option(int, 100),
-    "seed": Option(int),
+    "seed": Option(_nonnegative_int),
     "out": Option(_path, help="output path (checkpoint, eval rows or embedding CSV)"),
     "init": Option(_init, help="checkpoint path, or 'random' (then --layers is required)"),
     "k": Option(int, 5),
@@ -157,16 +156,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     entries: dict[str, str] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            entries[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        entries[key.strip().replace("-", "_")] = value.strip()
     return entries
 
 
@@ -227,7 +230,7 @@ def _load_split(cfg: dict, prefix: str):
 
 def _write_manifest(out_path, command: str, cfg: dict) -> str:
     path = str(out_path) + ".manifest"
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f"command = {command}\n")
         for key in sorted(cfg):
             value = cfg[key]
@@ -240,7 +243,7 @@ def _write_manifest(out_path, command: str, cfg: dict) -> str:
     return path
 
 
-def _cmd_pretrain(cfg: dict) -> int:
+def _cmd_pretrain(cfg: dict) -> None:
     if cfg["seed"] is None:
         cfg["seed"] = 0
     from . import encoder, rbm
@@ -260,10 +263,9 @@ def _cmd_pretrain(cfg: dict) -> int:
     encoder.save_checkpoint(params, cfg["out"])
     manifest = _write_manifest(cfg["out"], "pretrain", cfg)
     print(f"wrote {cfg['out']} ({params.num_params} parameters), manifest {manifest}")
-    return EXIT_OK
 
 
-def _cmd_finetune(cfg: dict) -> int:
+def _cmd_finetune(cfg: dict) -> None:
     if cfg["seed"] is None:
         cfg["seed"] = 0
     from . import encoder, trainer
@@ -295,10 +297,9 @@ def _cmd_finetune(cfg: dict) -> int:
     final = report.losses[-1]
     print(f"wrote {cfg['out']}; final loss {final:.6g}; report {report_path}; "
           f"manifest {manifest}")
-    return EXIT_OK
 
 
-def _cmd_eval(cfg: dict) -> int:
+def _cmd_eval(cfg: dict) -> None:
     from . import classify, encoder
     from .neighbors import NeighborConfig, check_capacity
 
@@ -313,6 +314,8 @@ def _cmd_eval(cfg: dict) -> int:
     if energy:
         check_capacity(train.labels, train.num_classes, cfg["k"], cfg["m"])
     test = _load_split(cfg, "test")
+    if len(test) == 0:
+        raise CapacityError("the test set is empty; there is nothing to evaluate")
     params = encoder.load_checkpoint(cfg["model"])
     train_codes = encoder.forward(params, train.features)
     test_codes = encoder.forward(params, test.features)
@@ -343,10 +346,9 @@ def _cmd_eval(cfg: dict) -> int:
     written = cfg["out"] or cfg["dump_predictions"]
     if written:  # beside the first output; a run that writes no file writes none
         _write_manifest(written, "eval", cfg)
-    return EXIT_OK
 
 
-def _cmd_embed(cfg: dict) -> int:
+def _cmd_embed(cfg: dict) -> None:
     from . import encoder
 
     data = _load_split(cfg, "train")
@@ -360,27 +362,25 @@ def _cmd_embed(cfg: dict) -> int:
             f.write(f"{idx},{label}," + ",".join("%.17g" % v for v in row) + "\n")
     manifest = _write_manifest(cfg["out"], "embed", cfg)
     print(f"wrote {codes.shape[0]} embeddings to {cfg['out']}, manifest {manifest}")
-    return EXIT_OK
 
 
-def _cmd_split(cfg: dict) -> int:
+def _cmd_split(cfg: dict) -> None:
     if cfg["style"] == "random" and cfg["seed"] is None:
         raise ConfigError("--style random requires --seed")
     from . import dataset
 
-    data = dataset.load_csv(cfg["csv"])
     spec = dataset.SplitSpec(
         per_class_train=cfg["per_class_train"],
         per_class_test=cfg["per_class_test"],
         shuffle_seed=cfg["seed"] if cfg["style"] == "random" else None,
     )
+    data = dataset.load_csv(cfg["csv"])
     train, test = dataset.fixed_split(data, spec)
     dataset.save_csv(train, cfg["out_train"])
     dataset.save_csv(test, cfg["out_test"])
     manifest = _write_manifest(cfg["out_train"], "split", cfg)
     print(f"wrote {len(train)} train rows to {cfg['out_train']}, "
           f"{len(test)} test rows to {cfg['out_test']}, manifest {manifest}")
-    return EXIT_OK
 
 
 _TRAIN_DATA = ("train_images", "train_labels", "train_csv")
@@ -407,31 +407,28 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        if "numpy" in sys.modules:  # its BLAS pools have started; the caps would be ignored
-            print("error: --threads has no effect once numpy is loaded; set "
-                  "OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, MKL_NUM_THREADS) in the "
-                  "environment before the process starts", file=sys.stderr)
-            return EXIT_CONFIG
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code
     try:
-        return _COMMANDS[args.command].handler(_resolve(args))
-    except (ConfigError, DimensionError) as exc:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ConfigError("--threads must be >= 1")
+            if "numpy" in sys.modules:  # its BLAS pools have started; caps would be ignored
+                raise ConfigError("--threads has no effect once numpy is loaded; set "
+                                  "OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, "
+                                  "MKL_NUM_THREADS) in the environment before the "
+                                  "process starts")
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
+        _COMMANDS[args.command].handler(_resolve(args))
+    except DnetKnnError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FormatError, ConsistencyError, CapacityError, OSError) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 def entrypoint() -> None:

@@ -166,9 +166,10 @@ def load_csv(path) -> Dataset:
     if table.shape[1] < 2:
         raise FormatError(f"{path}: need a label column plus at least one feature")
     raw_labels = table[:, 0]
-    labels = raw_labels.astype(np.int64)
-    if not np.all(raw_labels == labels):
+    # before the cast, which has no value (and warns) for nan, inf or |x| >= 2**63
+    if not np.all((raw_labels == np.floor(raw_labels)) & (np.abs(raw_labels) < 2.0**63)):
         raise FormatError(f"{path}: first column must hold integer labels")
+    labels = raw_labels.astype(np.int64)
     if labels.min() < 0:
         raise FormatError(f"{path}: labels must be nonnegative")
     features = np.ascontiguousarray(table[:, 1:])

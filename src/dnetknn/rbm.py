@@ -222,7 +222,8 @@ def train_stack(data: Dataset, layer_sizes, cfg: CdConfig, dtype=None) -> list[R
         activations = activations.astype(dtype, copy=False)
     stack = []
     for num_hidden in layer_sizes[1:]:
+        if stack:
+            activations = hidden_given_visible(stack[-1], activations)
         machine, _ = train_rbm(activations, num_hidden, cfg, rng)
         stack.append(machine)
-        activations = hidden_given_visible(machine, activations)
     return stack

@@ -51,12 +51,8 @@ class TrainConfig:
             raise ConfigError("cg_line_searches must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        try:
-            dtype = np.dtype(self.dtype)
-        except TypeError as exc:
-            raise ConfigError(f"unknown dtype {self.dtype!r}") from exc
-        if not np.issubdtype(dtype, np.floating):
-            raise ConfigError(f"dtype must be a real floating type, got {self.dtype!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     @property
     def neighbor_config(self) -> NeighborConfig:
@@ -108,9 +104,6 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
     gnorm2 = float(g @ g)
     step = 1.0 / max(1.0, float(np.sqrt(gnorm2)))
     for _ in range(line_searches):
-        if gnorm2 == 0.0:
-            trajectory.append(f0)
-            continue
         slope = float(g @ direction)
         if slope >= 0.0:  # lost conjugacy; restart on steepest descent
             direction = -g

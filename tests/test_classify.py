@@ -250,6 +250,11 @@ class TestErrorRate:
         with pytest.raises(ConsistencyError):
             error_rate(predictions([0]), [0, 1])
 
+    def test_empty_input_refused(self):
+        # no prediction is no evidence of a perfect score
+        with pytest.raises(CapacityError, match="at least one"):
+            error_rate(predictions([]), [])
+
 
 def test_save_predictions(tmp_path):
     path = tmp_path / "preds.csv"

@@ -622,6 +622,56 @@ def test_rerun_from_manifest_in_another_directory(digit_files, tmp_path, monkeyp
     assert list(elsewhere.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code, message", [
+    (["pretrain", "--train-csv", "{train}", "--layers", "64,4", "--seed", "-1",
+      "--out", "{out}/o.dnkn"], 2, "--seed"),
+    (["finetune", "--train-csv", "{train}", "--init", "random", "--layers", "64,4",
+      "--seed", "-1", "--out", "{out}/o.dnkn"], 2, "--seed"),
+    (["split", "--csv", "{train}", "--style", "random", "--seed", "-1",
+      "--out-train", "{out}/tr.csv", "--out-test", "{out}/te.csv"], 2, "--seed"),
+    (["--config", "{latin1}", "split", "--csv", "{train}", "--out-train", "{out}/tr.csv",
+      "--out-test", "{out}/te.csv"], 2, "latin1.cfg: not UTF-8"),
+    *[(["split", "--csv", f"{{{name}}}", "--out-train", "{out}/tr.csv",
+        "--out-test", "{out}/te.csv"], 3, "first column must hold integer labels")
+      for name in ("nan", "inf", "huge")],
+    (["finetune", "--train-csv", "{train}", "--init", "random", "--layers", "64,4",
+      "--k", "2", "--m", "2", "--dtype", "float16", "--out", "{out}/o.dnkn"], 2,
+     "float32 or float64"),
+    # the missing checkpoint shows that the refusal comes before it is read
+    (["eval", "--train-csv", "{train}", "--test-images", "{empty_images}",
+      "--test-labels", "{empty_labels}", "--model", "{out}/absent.dnkn",
+      "--mode", "both", "--baseline", "pixels", "--k", "1", "--m", "1",
+      "--out", "{out}/errors.csv"], 3, "the test set is empty"),
+    (["split", "--csv", "{out}/absent.csv", "--per-class-train", "-1",
+      "--out-train", "{out}/tr.csv", "--out-test", "{out}/te.csv"], 2,
+     "split counts must be nonnegative"),
+], ids=["pretrain-seed", "finetune-seed", "split-seed", "config-not-utf8", "label-nan",
+        "label-inf", "label-1e20", "dtype-float16", "eval-empty-test",
+        "split-negative-count"])
+def test_bad_input_exits_with_one_error_line_and_writes_nothing(
+        digit_files, tmp_path, capsys, argv, code, message):
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    (inputs / "latin1.cfg").write_bytes("# caf\u00e9\nstyle = fixed\n".encode("latin-1"))
+    for name, label in (("nan", "nan"), ("inf", "inf"), ("huge", "1e20")):
+        (inputs / f"{name}.csv").write_text(f"0,0.25\n{label},0.5\n")
+    empty = Dataset(np.empty((0, 64)), np.empty(0, dtype=np.int64), 1)
+    save_idx(empty, inputs / "empty-images.idx", inputs / "empty-labels.idx")
+    paths = {"train": digit_files / "train.csv", "out": out,
+             "latin1": inputs / "latin1.cfg", "nan": inputs / "nan.csv",
+             "inf": inputs / "inf.csv", "huge": inputs / "huge.csv",
+             "empty_images": inputs / "empty-images.idx",
+             "empty_labels": inputs / "empty-labels.idx"}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert list(out.iterdir()) == []
+
+
 def test_usage_error_exits_2():
     assert main(["mystery-command"]) == 2
 

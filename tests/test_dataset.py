@@ -131,10 +131,13 @@ class TestCsv:
         assert list(data.labels) == [1, 0]
         np.testing.assert_allclose(data.features, [[0.5, 0.25], [1.0, 0.0]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_integer_label(self, tmp_path):
-        (tmp_path / "d.csv").write_text("1.5,0.5\n")
-        with pytest.raises(FormatError, match="integer"):
-            load_csv(tmp_path / "d.csv")
+        # nan, inf and 1e20 have no int64 value: refused before any cast warns
+        for label in ("1.5", "nan", "inf", "-inf", "1e20"):
+            (tmp_path / "d.csv").write_text(f"0,0.25\n{label},0.5\n")
+            with pytest.raises(FormatError, match="integer"):
+                load_csv(tmp_path / "d.csv")
 
     def test_garbage(self, tmp_path):
         (tmp_path / "d.csv").write_text("a,b,c\n")

@@ -380,6 +380,22 @@ class TestTrainStack:
         for machine in stack:
             assert np.all(np.isfinite(machine.weights))
 
+    def test_only_machines_below_the_top_propagate_the_full_set(self, monkeypatch):
+        # each machine but the top one feeds the next: one full-set pass
+        # apiece; every other call is a CD-1 step on at most mini_batch rows
+        data = make_digits(per_class=2, side=8, seed=1)  # 20 rows
+        full_passes, conditional = [], rbm.hidden_given_visible
+
+        def recording(machine, v):
+            if v.shape[0] == len(data):
+                full_passes.append(machine)
+            return conditional(machine, v)
+
+        monkeypatch.setattr(rbm, "hidden_given_visible", recording)
+        stack = train_stack(data, [64, 12, 8, 4], CdConfig(epochs=2, mini_batch=8, seed=2))
+        assert len(full_passes) == 2
+        assert full_passes[0] is stack[0] and full_passes[1] is stack[1]
+
     def test_wrong_input_width(self):
         data = make_digits(per_class=1, side=8, seed=0)
         with pytest.raises(DimensionError):

@@ -51,9 +51,20 @@ class TestPolakRibiere:
         def flat(x):
             return 1.0, lambda: np.zeros_like(x)
 
-        x, trajectory = polak_ribiere_minimize(flat, np.ones(4), 3)
-        np.testing.assert_array_equal(x, np.ones(4))
-        assert trajectory == [1.0, 1.0, 1.0, 1.0]
+        def peak(x):  # zero gradient at its maximum x = 1 only
+            return 1.0 - float((x - 1.0) @ (x - 1.0)), lambda: -2.0 * (x - 1.0)
+
+        for objective in (flat, peak):
+            evaluated = []
+
+            def counted(x):
+                evaluated.append(x)
+                return objective(x)
+
+            x, trajectory = polak_ribiere_minimize(counted, np.ones(4), 3)
+            np.testing.assert_array_equal(x, np.ones(4))
+            assert trajectory == [1.0, 1.0, 1.0, 1.0]
+            assert len(evaluated) == 1  # no trial point along a zero direction
 
     def test_each_point_evaluated_once_and_differentiated_only_if_accepted(self):
         # from the origin the first trial overshoots the minimum along -g,
@@ -346,7 +357,8 @@ def test_config_validation():
         TrainConfig(layer_sizes=(4, 2), k=0)
 
 
-@pytest.mark.parametrize("dtype", ["int32", "bool", "complex128", "mystery"])
+@pytest.mark.parametrize("dtype", ["int32", "bool", "complex128", "mystery", "float16",
+                                   "longdouble"])
 def test_non_real_floating_dtype_rejected(dtype):
     with pytest.raises(ConfigError, match="dtype"):
         TrainConfig(layer_sizes=(4, 2), dtype=dtype)
