@@ -1,16 +1,19 @@
-"""Code-space classifiers: majority-vote kNN and minimum-energy labeling.
+"""Classifiers: majority-vote kNN and minimum-energy labeling.
 
-Distances come from `neighbors.sq_dists`; `neighbors.nearest` selects an
-index-ordered set and kNN ranks its k, ties of the computed distances toward
-the smaller training index.  kNN votes over the classes present (ids may be
-sparse) and breaks vote ties toward the class of the nearest neighbor among
-the tied classes.  Energy classification hypothesizes each class in turn for
-the test point: its k nearest codes of that class act as targets, its m
-nearest codes of every other class act as impostors, and the smallest
-hinge-energy sum wins (ties toward the smaller class id);
-`neighbors.check_capacity` refuses classes too small for k and m.  Energy
-runs on batches of test points, from float64 distances whatever the code
-dtype.  Both search code space: a test point has no pixel-table row.
+kNN takes its distances from `neighbors.pixel_dists`, so rows on the 1/255
+byte grid (the pixel baseline) are compared exactly and a tie is an exact
+tie; off the grid (codes) they are `neighbors.sq_dists` and a tie means equal
+computed distances.  `neighbors.nearest` selects an index-ordered set and
+kNN ranks its k, ties toward the smaller training index.  kNN votes over the
+classes present (ids may be sparse) and breaks vote ties toward the class of
+the nearest neighbor among the tied classes.  Energy classification
+hypothesizes each class in turn for the test point: its k nearest codes of
+that class act as targets, its m nearest codes of every other class act as
+impostors, and the smallest hinge-energy sum wins (ties toward the smaller
+class id); `neighbors.check_capacity` refuses classes too small for k and m.
+Energy runs on batches of test points, from float64 `sq_dists` whatever the
+code dtype.  Both search the rows given, codes or raw pixels: a test point
+has no pixel-table row.
 Each returns a `PREDICTION` record array: one (label, score) per test point.
 """
 
@@ -19,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DimensionError
-from .neighbors import NeighborConfig, check_capacity, nearest, sq_dists
+from .neighbors import (NeighborConfig, check_capacity, nearest, pixel_dists, pixel_rows,
+                        sq_dists)
 
 _CHUNK_ROWS = 256
 
@@ -45,14 +49,14 @@ def _checked(train_codes, train_labels, test_codes):
     return train_codes, train_labels, test_codes
 
 
-def _predict(train_codes, test_codes, rule) -> np.recarray:
-    """One PREDICTION record per test code.  `rule` maps a chunk of test
-    rows' distances to every training code to their (labels, scores)."""
-    predictions = np.recarray(test_codes.shape[0], dtype=PREDICTION)
-    for start in range(0, len(predictions), _CHUNK_ROWS):
+def _predict(count: int, dists, rule) -> np.recarray:
+    """One PREDICTION record per test row.  `dists` maps a slice of the
+    count test rows to their distances to every training row, and `rule`
+    maps those distances to the rows' (labels, scores)."""
+    predictions = np.recarray(count, dtype=PREDICTION)
+    for start in range(0, count, _CHUNK_ROWS):
         chunk = slice(start, start + _CHUNK_ROWS)
-        predictions.label[chunk], predictions.score[chunk] = rule(
-            sq_dists(test_codes[chunk], train_codes))
+        predictions.label[chunk], predictions.score[chunk] = rule(dists(chunk))
     return predictions
 
 
@@ -80,7 +84,10 @@ def knn_predict(train_codes: np.ndarray, train_labels: np.ndarray,
         first = counts.argmax(axis=1)  # nearest neighbor among the top-voted classes
         return classes[labels[rows, first]], counts[rows, first]
 
-    return _predict(train_codes, test_codes, vote)
+    # the byte-grid test, once per array of this call
+    train_rows, test_rows = pixel_rows(train_codes, test_codes)
+    return _predict(test_codes.shape[0],
+                    lambda chunk: pixel_dists(test_rows.take(chunk), train_rows), vote)
 
 
 def energy_predict_all(train_codes, train_labels, test_codes,
@@ -106,8 +113,10 @@ def energy_predict_all(train_codes, train_labels, test_codes,
         labels = energies.argmin(axis=1)  # argmin takes the smaller class id on ties
         return labels, -energies[np.arange(labels.size), labels]
 
-    return _predict(train_codes.astype(np.float64), test_codes.astype(np.float64),
-                    lowest_energy)
+    train_codes = train_codes.astype(np.float64)
+    test_codes = test_codes.astype(np.float64)
+    return _predict(test_codes.shape[0],
+                    lambda chunk: sq_dists(test_codes[chunk], train_codes), lowest_energy)
 
 
 def error_rate(predictions: np.recarray, true_labels) -> float:

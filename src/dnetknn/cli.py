@@ -57,8 +57,12 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-# absolute, so that a manifest reruns from any working directory
-_path = os.path.abspath
+def _path(text: str) -> str:
+    """Absolute, so that a manifest reruns from any working directory.  A
+    name that is not UTF-8 (kept as surrogate escapes) could not be written
+    into the manifest: its UnicodeEncodeError is a ValueError, refused here."""
+    text.encode("utf-8")
+    return os.path.abspath(text)
 
 
 def _init(text: str) -> str:

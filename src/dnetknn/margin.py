@@ -10,10 +10,13 @@ with the table.  Rows whose hinge argument is <= 0 are inactive and
 contribute nothing to the value or the gradient; the sub-gradient at the
 kink is taken as 0.
 
-The table is never expanded into rows.  A pass walks it in fixed-size
-anchor chunks, evaluates each anchor's (k,) target and (M,) impostor
-squared distances once, and broadcasts them into the (k, M) block of hinge
-arguments.  Each active row contributes three updates to the code
+The table comes from `neighbors`, where a neighbor tie is exact on the
+1/255 byte grid and off it means equal computed distances.  It is never
+expanded into rows.  A pass walks it in fixed-size anchor chunks, evaluates
+each anchor's (k,) target and (M,) impostor squared distances once (each
+gathered block less its anchor, in place, reduced by one fused square-sum),
+and broadcasts them into the (k, M) block of hinge arguments, clamped at 0
+in place.  Each active row contributes three updates to the code
 gradient, which is algebraically the per-point pull/push sum:
 
     row i += 2 (y_i - y_l) - 2 (y_i - y_j)
@@ -56,8 +59,13 @@ class MarginLoss:
 _CHUNK_ROWS = 1 << 16
 
 
-def _sq_norms(diff: np.ndarray) -> np.ndarray:
-    return (diff * diff).sum(axis=-1)
+def _sq_dists_to(codes: np.ndarray, neighbors: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """(a, r) squared distances from each anchor row to its r neighbor codes:
+    the gathered block has the anchor subtracted in place, then one fused
+    square-sum reduces it."""
+    diff = codes[neighbors]
+    diff -= anchor
+    return np.einsum("amd,amd->am", diff, diff)
 
 
 def _hinge_pass(codes: np.ndarray, table: TriplesTable,
@@ -73,15 +81,20 @@ def _hinge_pass(codes: np.ndarray, table: TriplesTable,
     for start in range(0, n, step):
         chunk = slice(start, start + step)
         anchor = codes[chunk][:, None, :]
-        d_target = _sq_norms(codes[table.targets[chunk]] - anchor)
-        d_impostor = _sq_norms(codes[table.impostors[chunk]] - anchor)
+        d_target = _sq_dists_to(codes, table.targets[chunk], anchor)
+        d_impostor = _sq_dists_to(codes, table.impostors[chunk], anchor)
         z = 1.0 + d_target[:, :, None] - d_impostor[:, None, :]
         viol = z > 0.0
-        value += float(z.sum(dtype=np.float64, where=viol))
-        active += int(np.count_nonzero(viol))
-        if target_w is not None:
-            target_w[chunk] = np.count_nonzero(viol, axis=2)
-            impostor_w[chunk] = np.count_nonzero(viol, axis=1)
+        # clamped rows add 0, as masked-out rows would
+        value += float(np.maximum(z, 0.0, out=z).sum(dtype=np.float64))
+        if target_w is None:
+            active += int(np.count_nonzero(viol))
+        else:
+            # integer sums over the mask's bytes: 0 or 1 each
+            ones = viol.view(np.uint8)
+            target_w[chunk] = ones.sum(axis=2, dtype=np.int64)
+            impostor_w[chunk] = ones.sum(axis=1, dtype=np.int64)
+            active += int(target_w[chunk].sum())
     return MarginLoss(value, active)
 
 

@@ -4,10 +4,16 @@ class impostor neighbors, and the (anchor, target, impostor) triples table.
 Neighbors are chosen once in the original feature space by squared
 Euclidean distance and are never refreshed while the codes move.  `nearest`
 selects an index-ordered set; kNN in `classify` ranks its k.  Ties break
-toward the smaller index, and a tie means equal computed float distances:
-points equally far in exact arithmetic can compute unequal distances, and
-then the smaller one wins.  `sq_dists` refuses non-finite distances, so no
-selection sees a NaN.
+toward the smaller index.
+
+Pixel rows on the 1/255 byte grid (IDX images, the synthetic digits) are
+compared exactly: `pixel_rows` tests the grid once per table build and
+`pixel_dists` computes the integer squared distances of the bytes, so a tie
+is an exact tie and no table depends on the BLAS build or its thread count.
+Off the grid `pixel_dists` is `sq_dists`, and a tie means equal computed
+float distances: points equally far in exact arithmetic can compute unequal
+distances, and then the smaller one wins.  `sq_dists` refuses non-finite
+distances, so no selection sees a NaN.
 
 The table stays factored: row i holds anchor i's k targets and its
 M = m * (c-1) impostors, n * (k + M) indices in all.  Its n * k * M rows
@@ -17,6 +23,7 @@ are that per-anchor cross product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +32,12 @@ from .errors import CapacityError, ConfigError, ConsistencyError, DivergenceErro
 
 # distance-block cells per step of `sq_dists` and `nearest`: bounds their temporaries
 _CHUNK_CELLS = 1 << 20
+# cells per step of the grid test: its two float64 temporaries stay at 1 MB
+_GRID_CHUNK_CELLS = 1 << 17
+# (2^24)^2: the bound on a grid row's squared norm, and on |a|^2 |b|^2 for a
+# float32 Gram product, which is exact while |a| |b| < 2^24 because every
+# partial sum of an integer dot product is at most |a| |b| in magnitude
+_LIMIT_SQ = 2 ** 48
 
 
 @dataclass(frozen=True)
@@ -101,6 +114,82 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
+class PixelRows(NamedTuple):
+    """Feature rows as `pixel_dists` reads them.  On the byte grid `rows`
+    holds the grid integers, features * 255, as float32 and `norms` their
+    exact int64 squared norms; off it `rows` is the features themselves and
+    `norms` is None."""
+
+    rows: np.ndarray
+    norms: np.ndarray | None
+
+    def take(self, idx) -> PixelRows:
+        return PixelRows(self.rows[idx], None if self.norms is None else self.norms[idx])
+
+
+def _byte_grid(features: np.ndarray) -> PixelRows | None:
+    """features on the byte grid, or None unless every feature lies on the
+    1/255 grid (`rint(f * 255) / 255 == f`) and every row's grid integers
+    have a squared norm below 2^48.  Then each integer fits float32, and
+    every norm, dot product and distance (at most 4 * 2^48) is an integer
+    that float64 holds exactly.  Scanned in row chunks; it stops at the
+    first chunk that fails."""
+    n, dim = features.shape
+    rows = np.empty((n, dim), dtype=np.float32)
+    norms = np.empty(n)
+    step = max(1, _GRID_CHUNK_CELLS // max(1, dim))
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        f = features[chunk]
+        with np.errstate(over="ignore", invalid="ignore"):  # huge rows fail below
+            q = f * 255.0
+            np.rint(q, out=q)
+            if not (q / 255.0 == f).all():
+                return None
+            norms[chunk] = np.einsum("ij,ij->i", q, q)
+        if norms[chunk].max(initial=0.0) >= _LIMIT_SQ:
+            return None
+        rows[chunk] = q
+    return PixelRows(rows, norms.astype(np.int64))
+
+
+def pixel_rows(*features: np.ndarray) -> list[PixelRows]:
+    """Each array as `pixel_dists` reads it: all on the byte grid, or all as
+    they are when any one is off it.  This is the grid test, once per array."""
+    grids = []
+    for f in features:
+        grid = _byte_grid(f)
+        if grid is None:
+            return [PixelRows(f, None) for f in features]
+        grids.append(grid)
+    return grids
+
+
+def pixel_dists(a: PixelRows, b: PixelRows) -> np.ndarray:
+    """Squared distances between the rows of a and b, from `pixel_rows`.
+
+    Off the grid this is `sq_dists`.  On it every value is the exact integer
+    squared distance of the bytes, |a|^2 + |b|^2 - 2 a b^T in integers: int32
+    while 2 (max|a|^2 + max|b|^2), which bounds every term and sum, is below
+    2^31 (always, for rows of up to 8256 bytes in [0, 255]), else int64.  The
+    Gram product a b^T is formed in float32 when max|a| max|b| < 2^24, where
+    it is exact in any summation order, with or without FMA, and in float64
+    otherwise, where every partial sum stays below 2^48.
+    """
+    if a.norms is None:
+        return sq_dists(a.rows, b.rows)
+    top_a, top_b = int(a.norms.max(initial=0)), int(b.norms.max(initial=0))
+    if top_a * top_b < _LIMIT_SQ:
+        gram = a.rows @ b.rows.T
+    else:
+        gram = a.rows.astype(np.float64) @ b.rows.T.astype(np.float64)
+    d = gram.astype(np.int32 if 2 * (top_a + top_b) < 2 ** 31 else np.int64)
+    d *= -2
+    d += a.norms.astype(d.dtype)[:, None]
+    d += b.norms.astype(d.dtype)
+    return d
+
+
 def nearest(dists: np.ndarray, count: int) -> np.ndarray:
     """Each row's `count` nearest column positions by (distance, column), as
     an ascending int64 set.
@@ -147,37 +236,59 @@ def check_capacity(labels: np.ndarray, num_classes: int, targets: int, impostors
                             f"({targets} for targets, {impostors} for impostors)")
 
 
-def target_neighbors(train: Dataset, k: int) -> np.ndarray:
+def target_neighbors(train: Dataset, k: int, pixels: PixelRows | None = None) -> np.ndarray:
     """The k nearest same-class points of every anchor, self excluded.
 
     Returns an (n, k) array of global indices, each row sorted ascending.
+    `pixels` is `pixel_rows(train.features)` when the caller already has it.
     """
     check_capacity(train.labels, train.num_classes, k + 1, 0)
+    if pixels is None:
+        (pixels,) = pixel_rows(train.features)
     out = np.empty((len(train), k), dtype=np.int64)
     for cls in range(train.num_classes):
         idx = train.class_indices(cls)
-        d = sq_dists(train.features[idx], train.features[idx])
-        np.fill_diagonal(d, np.inf)
+        rows = pixels.take(idx)
+        d = pixel_dists(rows, rows)
+        # above every distance: int32 grid distances stay below 2^31 - 1
+        np.fill_diagonal(d, np.iinfo(d.dtype).max if d.dtype.kind == "i" else np.inf)
         out[idx] = idx[nearest(d, k)]
     return out
 
 
-def impostor_neighbors(train: Dataset, m: int) -> np.ndarray:
+def impostor_neighbors(train: Dataset, m: int, pixels: PixelRows | None = None) -> np.ndarray:
     """The m nearest points from each foreign class, per anchor.
 
     Returns an (n, m*(c-1)) array of global indices, rows sorted ascending.
+    `pixels` is `pixel_rows(train.features)` when the caller already has it.
+    On the byte grid each unordered class pair's block is computed once,
+    both directions being exact; off it each direction is its own
+    `sq_dists` block, since a transposed product need not match bit for bit.
     """
     check_capacity(train.labels, train.num_classes, 0, m)
+    if pixels is None:
+        (pixels,) = pixel_rows(train.features)
     c = train.num_classes
     per_class = [train.class_indices(cls) for cls in range(c)]
     out = np.empty((len(train), m * (c - 1)), dtype=np.int64)
+
+    def fill(anchor_cls: int, foreign_cls: int, d: np.ndarray) -> None:
+        slot = (foreign_cls - (foreign_cls > anchor_cls)) * m
+        out[per_class[anchor_cls], slot : slot + m] = per_class[foreign_cls][nearest(d, m)]
+
+    exact = pixels.norms is not None
     for anchor_cls in range(c):
-        a_idx = per_class[anchor_cls]
-        anchors = train.features[a_idx]
-        blocks = [f_idx[nearest(sq_dists(anchors, train.features[f_idx]), m)]
-                  for cls, f_idx in enumerate(per_class) if cls != anchor_cls]
-        # each block is ascending, but the classes' indices interleave
-        out[a_idx] = np.sort(np.concatenate(blocks, axis=1), axis=1)
+        anchors = pixels.take(per_class[anchor_cls])
+        # on the grid an earlier class's block already gave this direction
+        for cls in range(anchor_cls + 1 if exact else 0, c):
+            if cls == anchor_cls:
+                continue
+            d = pixel_dists(anchors, pixels.take(per_class[cls]))
+            fill(anchor_cls, cls, d)
+            if exact:
+                fill(cls, anchor_cls, d.T)
+    # each slot is ascending, but the classes' indices interleave
+    out.sort(axis=1)
     return out
 
 
@@ -186,7 +297,10 @@ def build_triples(train: Dataset, cfg: NeighborConfig) -> TriplesTable:
 
     Row order is anchor-major, then target index ascending, then impostor
     index ascending; the row count is n * k * (c-1) * m.  Class sizes are
-    checked by `check_capacity` before any distance block is formed.
+    checked by `check_capacity` before any distance block is formed, and
+    the byte-grid test runs once for both selections.
     """
     check_capacity(train.labels, train.num_classes, cfg.k + 1, cfg.m)
-    return TriplesTable(target_neighbors(train, cfg.k), impostor_neighbors(train, cfg.m))
+    (pixels,) = pixel_rows(train.features)
+    return TriplesTable(target_neighbors(train, cfg.k, pixels),
+                        impostor_neighbors(train, cfg.m, pixels))

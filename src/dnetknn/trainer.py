@@ -10,7 +10,8 @@ Polak-Ribiere line searches per batch.  A backtracking (Armijo) line search
 accepts only steps that decrease the batch loss and records the exact value
 it accepted, so the recorded batch loss never increases.  The returned
 parameters are the best-so-far by full-training-set loss, measured at the
-end of every epoch against a triples table built once over the whole set.
+end of every epoch against a triples table built once over the whole set;
+with one batch that is CG's own evaluation at the point it returns.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
     dtype; gradient_fn runs only at x0 and at accepted points, and is
     dropped before the next trial.  The recorded value is the exact value
     the Armijo test accepted, so the trajectory is non-increasing.
-    Returns the final point and the values [f(x0), f after each accepted step].
+    Returns the final point, the very array objective evaluated there, and
+    the values [f(x0), f after each accepted step].
     """
     x = x0.copy()
     f0, gradient = objective(x)
@@ -182,6 +184,7 @@ def finetune(train: Dataset, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         batches = make_batches(train.labels, cfg.batch_size, seed=cfg.seed + epoch)
+        evaluated: dict[int, margin.MarginLoss] = {}  # by id of the point
         for batch_idx, idx in enumerate(batches):
             # one batch is arange(n): the full set's features and table
             batch_features, table = (features, full_table) if len(batches) == 1 else (
@@ -190,6 +193,7 @@ def finetune(train: Dataset, cfg: TrainConfig,
             def objective(vec):
                 result, gradient = margin.loss_and_param_grad(
                     EncoderParams(init.widths, vec), batch_features, table)
+                evaluated[id(vec)] = result
                 return result.value, gradient
 
             try:
@@ -198,7 +202,12 @@ def finetune(train: Dataset, cfg: TrainConfig,
                 raise DivergenceError(
                     f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
 
-        full = margin.loss(forward(EncoderParams(init.widths, x), features), full_table)
+        if len(batches) == 1:
+            # CG returns an array it evaluated, alive ever since, so no later
+            # point shares its id; that evaluation used the full set's table
+            full = evaluated[id(x)]
+        else:
+            full = margin.loss(forward(EncoderParams(init.widths, x), features), full_table)
         if not np.isfinite(full.value):
             raise DivergenceError(f"epoch {epoch}: full training loss is non-finite")
         report.epochs.append(EpochStats(

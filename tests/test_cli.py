@@ -646,9 +646,13 @@ def test_rerun_from_manifest_in_another_directory(digit_files, tmp_path, monkeyp
     (["split", "--csv", "{out}/absent.csv", "--per-class-train", "-1",
       "--out-train", "{out}/tr.csv", "--out-test", "{out}/te.csv"], 2,
      "split counts must be nonnegative"),
+    # a command-line byte 0xff arrives as the surrogate escape \udcff
+    (["split", "--csv", "{train}", "--per-class-train", "2", "--per-class-test", "1",
+      "--out-train", "{out}/tr\udcff.csv", "--out-test", "{out}/te.csv"], 2,
+     "for --out-train"),
 ], ids=["pretrain-seed", "finetune-seed", "split-seed", "config-not-utf8", "label-nan",
         "label-inf", "label-1e20", "dtype-float16", "eval-empty-test",
-        "split-negative-count"])
+        "split-negative-count", "split-path-not-utf8"])
 def test_bad_input_exits_with_one_error_line_and_writes_nothing(
         digit_files, tmp_path, capsys, argv, code, message):
     inputs, out = tmp_path / "in", tmp_path / "out"

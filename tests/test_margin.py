@@ -257,6 +257,25 @@ class TestFactoredTable:
         active = self.check(codes, table)
         assert 0 < active < len(table)
 
+    def test_desk_shape_float32_codes(self):
+        # k = 5 targets and M = 270 impostors (m = 30 from each of nine
+        # foreign classes) on 30-wide float32 codes, as fine-tuning runs
+        rng = np.random.default_rng(54)
+        table = random_table(rng, np.repeat(np.arange(10), 4), 5, 270)
+        codes = (rng.standard_normal((40, 30)) * 0.4).astype(np.float32)
+        # the loop runs on the same values in float64: in float32 its own
+        # sums of ~4000 updates per code row stray by 2e-5
+        want_value, want_active, want_grad = oracle_loss_and_grad(
+            codes.astype(np.float64), triple_rows(table))
+        value_tol, grad_tol = self.TOLERANCES[np.float32]
+        only = loss(codes, table)
+        result, grad = code_grad(codes, table)
+        assert only == result
+        assert 0 < result.active_triples == want_active < len(table)
+        assert result.value == pytest.approx(want_value, rel=value_tol)
+        assert grad.dtype == np.float32
+        assert norm_relative_error(grad, want_grad) < grad_tol
+
     def test_peak_memory_below_materialized_rows(self):
         rng = np.random.default_rng(53)
         n, k, impostors = 4000, 5, 200

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dnetknn import neighbors
+from dnetknn.classify import knn_predict
 from dnetknn.dataset import Dataset
 from dnetknn.errors import CapacityError, ConfigError, DivergenceError
 from dnetknn.neighbors import (
@@ -10,11 +16,14 @@ from dnetknn.neighbors import (
     build_triples,
     impostor_neighbors,
     nearest,
+    pixel_dists,
+    pixel_rows,
     sq_dists,
     target_neighbors,
 )
 
 from _oracles import triple_rows
+from _synthetic import make_blobs, make_digits
 
 
 def oracle_nearest(dists, count):
@@ -349,3 +358,162 @@ def test_config_validation():
         NeighborConfig(k=0, m=1)
     with pytest.raises(ConfigError):
         NeighborConfig(k=1, m=0)
+
+
+def byte_sq_dists(a, b):
+    """int64 reference: the exact squared distances of the bytes rint(255 x)."""
+    qa = np.rint(np.asarray(a) * 255.0).astype(np.int64)
+    qb = np.rint(np.asarray(b) * 255.0).astype(np.int64)
+    return np.array([((qb - row) ** 2).sum(axis=1) for row in qa]).reshape(len(qa), len(qb))
+
+
+def byte_oracle_tables(data, k, m):
+    """Targets and impostors by stable argsort of the int64 byte distances."""
+    f, c = data.features, data.num_classes
+    per_class = [data.class_indices(cls) for cls in range(c)]
+    targets = np.empty((len(data), k), dtype=np.int64)
+    impostors = np.empty((len(data), m * (c - 1)), dtype=np.int64)
+    for a, idx in enumerate(per_class):
+        d = byte_sq_dists(f[idx], f[idx])
+        np.fill_diagonal(d, np.iinfo(np.int64).max)
+        targets[idx] = idx[oracle_nearest(d, k)]
+        impostors[idx] = np.sort(np.concatenate(
+            [per_class[b][oracle_nearest(byte_sq_dists(f[idx], f[per_class[b]]), m)]
+             for b in range(c) if b != a], axis=1), axis=1)
+    return targets, impostors
+
+
+def planted_ties(rng, bases=12, copies=6, dim=784, delta=3, classes=3):
+    """Byte-grid rows with exact distance ties everywhere: each base row and
+    its copies moved by +-delta bytes in one pixel each, so every copy lies
+    delta^2 from its base and 2 delta^2 from its base's other copies."""
+    base = rng.integers(delta, 256 - delta, size=(bases, dim))
+    moved = np.repeat(base, copies, axis=0)
+    pixel = rng.integers(0, dim, size=moved.shape[0])
+    moved[np.arange(moved.shape[0]), pixel] += rng.choice([-delta, delta], size=moved.shape[0])
+    return base / 255.0, moved / 255.0, rng.integers(0, classes, size=moved.shape[0])
+
+
+class TestByteGrid:
+    """On the 1/255 grid distances are the bytes' exact integers, so an exact
+    tie is a tie and the index rule decides it."""
+
+    def test_planted_ties_follow_the_index_rule(self):
+        rng = np.random.default_rng(61)
+        for _ in range(3):
+            base, moved, labels = planted_ties(rng)
+            labels[:3] = np.arange(3)
+            data = Dataset(moved, labels, 3)
+            k, m = 2, 3
+            assert np.bincount(labels).min() >= max(k + 1, m)
+            want_targets, want_impostors = byte_oracle_tables(data, k, m)
+            table = build_triples(data, NeighborConfig(k, m))
+            np.testing.assert_array_equal(table.targets, want_targets)
+            np.testing.assert_array_equal(table.impostors, want_impostors)
+            # pixel kNN: each base's nearest are its tied copies; the first wins
+            preds = knn_predict(moved, labels, base, 1)
+            nearest_copy = oracle_nearest(byte_sq_dists(base, moved), 1)[:, 0]
+            np.testing.assert_array_equal(preds.label, labels[nearest_copy])
+
+    def test_anchor_1531_keeps_the_smaller_of_two_tied_impostors(self):
+        data = make_digits(200, seed=1)
+        assert byte_sq_dists(data.features[[1531]], data.features[[886, 1916]]).tolist() == [
+            [5922839, 5922839]]
+        row = impostor_neighbors(data, 30)[1531]
+        assert 886 in row and 1916 not in row
+        others = np.flatnonzero(data.labels != data.labels[1531])
+        per_class = [others[data.labels[others] == cls] for cls in np.unique(data.labels[others])]
+        want = np.sort(np.concatenate([
+            idx[oracle_nearest(byte_sq_dists(data.features[[1531]], data.features[idx]), 30)[0]]
+            for idx in per_class]))
+        np.testing.assert_array_equal(row, want)
+
+    def test_saturated_rows_take_the_float64_gram(self):
+        # all-255 28x28 rows have |a| = 7140, so |a| |b| >= 2^24 for them;
+        # near-saturated rows make products that float32 would round
+        rng = np.random.default_rng(62)
+        saturated = np.full((3, 784), 255)
+        near = rng.integers(250, 256, size=(5, 784))
+        faint = rng.integers(0, 40, size=(6, 784))
+        for rows in (saturated, near, np.vstack([saturated, faint]),
+                     np.vstack([faint, near, saturated]), faint):
+            x = rows / 255.0
+            y = np.vstack([x[::-1], faint / 255.0])
+            a, b = pixel_rows(x, y)
+            assert a.norms is not None
+            got = pixel_dists(a, b)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, byte_sq_dists(x, y))
+        labels = np.repeat(np.arange(2), 7)
+        data = Dataset(np.vstack([saturated, near, faint]) / 255.0, labels, 2)
+        table = build_triples(data, NeighborConfig(2, 3))
+        want_targets, want_impostors = byte_oracle_tables(data, 2, 3)
+        np.testing.assert_array_equal(table.targets, want_targets)
+        np.testing.assert_array_equal(table.impostors, want_impostors)
+
+    def test_large_grid_integers_give_int64_distances(self):
+        # |q| up to 2^20 on 50 pixels: past int32, and past the float32 Gram
+        q = np.random.default_rng(64).integers(-2 ** 20, 2 ** 20, size=(6, 50))
+        x, y = q / 255.0, q[::-1] / 255.0
+        a, b = pixel_rows(x, y)
+        got = pixel_dists(a, b)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, byte_sq_dists(x, y))
+
+    @pytest.mark.parametrize("features", [
+        np.array([[0.5, 1.0]]),  # 127.5 is no byte
+        np.array([[0.1 + 1e-12]]),
+        np.array([[1e307]]),  # overflows times 255
+        np.array([[2.0 ** 30]]),  # integral, but its squared norm exceeds 2^48
+    ])
+    def test_off_the_grid_rows_stay_as_they_are(self, features):
+        (rows,) = pixel_rows(features)
+        assert rows.norms is None and rows.rows is features
+
+    def test_one_row_off_the_grid_keeps_every_array_as_it_is(self):
+        on, off = np.array([[1 / 255.0]]), np.array([[0.3 + 1e-9]])
+        assert all(r.norms is None for r in pixel_rows(on, off))
+        assert all(r.norms is not None for r in pixel_rows(on, on))
+
+    def test_off_grid_tables_are_the_sq_dists_tables(self):
+        # blobs are off the grid: every ordered class pair is its own sq_dists
+        # block, as before the grid path existed
+        data = make_blobs(per_class=25, num_classes=4, dim=7, seed=63)
+        assert pixel_rows(data.features)[0].norms is None
+        k, m, f = 3, 4, data.features
+        per_class = [data.class_indices(cls) for cls in range(4)]
+        targets = np.empty((len(data), k), dtype=np.int64)
+        impostors = np.empty((len(data), 3 * m), dtype=np.int64)
+        for a, idx in enumerate(per_class):
+            d = sq_dists(f[idx], f[idx])
+            np.fill_diagonal(d, np.inf)
+            targets[idx] = idx[nearest(d, k)]
+            impostors[idx] = np.sort(np.concatenate(
+                [per_class[b][nearest(sq_dists(f[idx], f[per_class[b]]), m)]
+                 for b in range(4) if b != a], axis=1), axis=1)
+        table = build_triples(data, NeighborConfig(k, m))
+        assert table.targets.tobytes() == targets.tobytes()
+        assert table.impostors.tobytes() == impostors.tobytes()
+
+
+def test_pixel_tables_and_knn_do_not_depend_on_blas_threads():
+    script = (
+        "import hashlib, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from _synthetic import make_digits\n"
+        "from dnetknn.classify import knn_predict\n"
+        "from dnetknn.neighbors import NeighborConfig, build_triples\n"
+        "train, test = make_digits(40, seed=3), make_digits(8, seed=4)\n"
+        "table = build_triples(train, NeighborConfig(5, 10))\n"
+        "preds = knn_predict(train.features, train.labels, test.features, 5)\n"
+        "for arr in (table.targets, table.impostors, preds):\n"
+        "    print(hashlib.sha256(arr.tobytes()).hexdigest())\n")
+    src = str(Path(neighbors.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 3

@@ -159,6 +159,39 @@ class TestFinetune:
         if start == "random":
             assert len(evaluations) > len(gradients)  # the line search backtracked
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch_size, loss_calls", [(120, 0), (60, 3)])
+    def test_epoch_loss_is_the_full_set_loss_at_the_epoch_end(self, monkeypatch, dtype,
+                                                              batch_size, loss_calls):
+        # one batch takes CG's own evaluation at its final point, two batches
+        # pay one margin.loss per epoch; both equal a fresh evaluation exactly
+        data = make_digits(per_class=12, side=8, seed=12)
+        cfg = TrainConfig(layer_sizes=(64, 16, 4), k=2, m=2, epochs=3,
+                          batch_size=batch_size, cg_line_searches=3, seed=0, dtype=dtype)
+        init = init_encoder(cfg.layer_sizes, seed=0)
+        ends, calls = [], []
+        original_cg, original_loss = polak_ribiere_minimize, margin.loss
+
+        def recording_cg(*args):
+            x, trajectory = original_cg(*args)
+            ends.append(x.copy())
+            return x, trajectory
+
+        def counting_loss(*args):
+            calls.append(None)
+            return original_loss(*args)
+
+        monkeypatch.setattr(trainer, "polak_ribiere_minimize", recording_cg)
+        monkeypatch.setattr(margin, "loss", counting_loss)
+        _, report = finetune(data, cfg, init)
+        assert len(calls) == loss_calls
+        table = build_triples(data, cfg.neighbor_config)
+        features = data.features.astype(dtype)
+        epoch_ends = ends[len(ends) // cfg.epochs - 1 :: len(ends) // cfg.epochs]
+        for stats, x in zip(report.epochs, epoch_ends, strict=True):
+            want = original_loss(forward(EncoderParams(init.widths, x), features), table)
+            assert (stats.loss, stats.active_triples) == (want.value, want.active_triples)
+
     def test_blobs_loss_collapses(self):
         data = make_blobs(per_class=100, num_classes=3, dim=10, seed=5,
                           center_spread=4.0)
