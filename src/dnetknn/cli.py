@@ -16,7 +16,8 @@ that writes a file writes a ``<output>.manifest`` beside its first output
 (for ``eval``: ``--out``, else ``--dump-predictions``; an ``eval`` that only
 prints writes none).  It records the resolved values, with paths made
 absolute, so any run can be reproduced from its manifest alone, from any
-working directory.
+working directory.  Output paths are checked as they are resolved, before
+any data is read.
 
 A handler returns nothing or raises; ``main`` alone turns a run into an exit
 status: 0 ok, else the raised error's ``exit_code`` (see `errors`; 2 config, 3
@@ -65,6 +66,18 @@ def _path(text: str) -> str:
     return os.path.abspath(text)
 
 
+def _out_path(text: str) -> str:
+    """`_path` for a file the run writes, refused before any data is read
+    unless its directory exists and it is not a directory itself."""
+    path = _path(text)
+    parent = os.path.dirname(path)
+    if os.path.isdir(path):
+        raise ValueError("is a directory")
+    if not os.path.isdir(parent):
+        raise ValueError(f"directory {parent} does not exist")
+    return path
+
+
 def _init(text: str) -> str:
     return text if text == "random" else _path(text)
 
@@ -110,7 +123,7 @@ _OPTIONS = {
     "weight_decay": Option(float, 2e-4),
     "mini_batch": Option(int, 100),
     "seed": Option(_nonnegative_int),
-    "out": Option(_path, help="output path (checkpoint, eval rows or embedding CSV)"),
+    "out": Option(_out_path, help="output path (checkpoint, eval rows or embedding CSV)"),
     "init": Option(_init, help="checkpoint path, or 'random' (then --layers is required)"),
     "k": Option(int, 5),
     "m": Option(int, 30),
@@ -118,16 +131,16 @@ _OPTIONS = {
                     help="rows per batch; n // batch class-stratified batches"),
     "cg_iters": Option(int, 3),
     "dtype": Option(str, "float64"),
-    "report": Option(_path, help="per-epoch report path (default <out>.report.csv)"),
+    "report": Option(_out_path, help="per-epoch report path (default <out>.report.csv)"),
     "model": Option(_path, help="encoder checkpoint"),
     "mode": Option(str, "both", ("knn", "energy", "both")),
     "baseline": Option(choices=("pixels",), help="also report raw-pixel kNN error"),
-    "dump_predictions": Option(_path, help="write per-point prediction CSV here"),
+    "dump_predictions": Option(_out_path, help="write per-point prediction CSV here"),
     "style": Option(str, "fixed", ("fixed", "random")),
     "per_class_train": Option(int, 800),
     "per_class_test": Option(int, 300),
-    "out_train": Option(_path),
-    "out_test": Option(_path),
+    "out_train": Option(_out_path),
+    "out_test": Option(_out_path),
     "header": Option(_bool, False),
 }
 

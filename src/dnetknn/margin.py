@@ -49,10 +49,14 @@ from .neighbors import TriplesTable
 
 @dataclass(frozen=True)
 class MarginLoss:
-    """Sum of hinge terms plus the number of margin-violating rows."""
+    """Sum of hinge terms plus the number of margin-violating rows; its float
+    is the value, so CG can minimize it as it is."""
 
     value: float
     active_triples: int
+
+    def __float__(self) -> float:
+        return self.value
 
 
 # rows per hinge block; bounds the working set of a pass to a few MB

@@ -12,8 +12,9 @@ compared exactly: `pixel_rows` tests the grid once per table build and
 is an exact tie and no table depends on the BLAS build or its thread count.
 Off the grid `pixel_dists` is `sq_dists`, and a tie means equal computed
 float distances: points equally far in exact arithmetic can compute unequal
-distances, and then the smaller one wins.  `sq_dists` refuses non-finite
-distances, so no selection sees a NaN.
+distances, and then the smaller one wins.  On and off the grid, a pair's
+distance is one computed number, used in both directions.  `sq_dists`
+refuses non-finite distances, so no selection sees a NaN.
 
 The table stays factored: row i holds anchor i's k targets and its
 M = m * (c-1) impostors, n * (k + M) indices in all.  Its n * k * M rows
@@ -261,9 +262,9 @@ def impostor_neighbors(train: Dataset, m: int, pixels: PixelRows | None = None) 
 
     Returns an (n, m*(c-1)) array of global indices, rows sorted ascending.
     `pixels` is `pixel_rows(train.features)` when the caller already has it.
-    On the byte grid each unordered class pair's block is computed once,
-    both directions being exact; off it each direction is its own
-    `sq_dists` block, since a transposed product need not match bit for bit.
+    Each unordered class pair gets one `pixel_dists` block, and both
+    directions select from it and its transpose, on the byte grid and off
+    it, so a pair's distance is one computed number in both directions.
     """
     check_capacity(train.labels, train.num_classes, 0, m)
     if pixels is None:
@@ -271,22 +272,13 @@ def impostor_neighbors(train: Dataset, m: int, pixels: PixelRows | None = None) 
     c = train.num_classes
     per_class = [train.class_indices(cls) for cls in range(c)]
     out = np.empty((len(train), m * (c - 1)), dtype=np.int64)
-
-    def fill(anchor_cls: int, foreign_cls: int, d: np.ndarray) -> None:
-        slot = (foreign_cls - (foreign_cls > anchor_cls)) * m
-        out[per_class[anchor_cls], slot : slot + m] = per_class[foreign_cls][nearest(d, m)]
-
-    exact = pixels.norms is not None
-    for anchor_cls in range(c):
-        anchors = pixels.take(per_class[anchor_cls])
-        # on the grid an earlier class's block already gave this direction
-        for cls in range(anchor_cls + 1 if exact else 0, c):
-            if cls == anchor_cls:
-                continue
-            d = pixel_dists(anchors, pixels.take(per_class[cls]))
-            fill(anchor_cls, cls, d)
-            if exact:
-                fill(cls, anchor_cls, d.T)
+    for a in range(c):
+        anchors = pixels.take(per_class[a])
+        for b in range(a + 1, c):
+            d = pixel_dists(anchors, pixels.take(per_class[b]))
+            # class b takes slot b - 1 of class a's rows, class a slot a of b's
+            out[per_class[a], (b - 1) * m : b * m] = per_class[b][nearest(d, m)]
+            out[per_class[b], a * m : (a + 1) * m] = per_class[a][nearest(d.T, m)]
     # each slot is ascending, but the classes' indices interleave
     out.sort(axis=1)
     return out

@@ -84,24 +84,26 @@ class TrainReport:
 
 
 def polak_ribiere_minimize(objective, x0: np.ndarray,
-                           line_searches: int) -> tuple[np.ndarray, list[float]]:
+                           line_searches: int) -> tuple[np.ndarray, list]:
     """Nonlinear conjugate gradient with PR+ direction updates.
 
-    objective(x) -> (value, gradient_fn); gradient_fn() is the gradient at x.
-    Each line search backtracks from an adaptive initial step until the
-    Armijo condition holds.  Every trial point is evaluated once, in x0's
-    dtype; gradient_fn runs only at x0 and at accepted points, and is
-    dropped before the next trial.  The recorded value is the exact value
-    the Armijo test accepted, so the trajectory is non-increasing.
+    objective(x) -> (result, gradient_fn): float(result) is the value at x
+    and gradient_fn() the gradient there.  Each line search backtracks from
+    an adaptive initial step until the Armijo condition holds.  Every trial
+    point is a new array, evaluated once, in x0's dtype; no point, x0
+    included, is ever written into.  gradient_fn runs only at x0 and at
+    accepted points, and is dropped before the next trial.
     Returns the final point, the very array objective evaluated there, and
-    the values [f(x0), f after each accepted step].
+    the results [at x0, after each accepted step]: the last is the result
+    at the returned point.  Their values never increase.
     """
-    x = x0.copy()
-    f0, gradient = objective(x)
+    x = x0
+    result, gradient = objective(x)
+    f0 = float(result)
     g = gradient()
     if not (np.isfinite(f0) and np.all(np.isfinite(g))):
         raise DivergenceError("objective is non-finite at the starting point")
-    trajectory = [f0]
+    trajectory = [result]
     direction = -g
     gnorm2 = float(g @ g)
     step = 1.0 / max(1.0, float(np.sqrt(gnorm2)))
@@ -118,7 +120,8 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
                 break  # the demanded decrease is below float resolution of f
             gradient = None  # hold one point's evaluation at a time
             x_try = x + alpha * direction
-            f_try, gradient = objective(x_try)
+            result_try, gradient = objective(x_try)
+            f_try = float(result_try)
             if np.isfinite(f_try) and f_try <= f0 + ARMIJO * alpha * slope:
                 accepted = True
                 break
@@ -126,9 +129,9 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
         if not accepted:
             direction = -g  # try fresh steepest descent next time
             step = max(step * 0.25, 1e-20)
-            trajectory.append(f0)
+            trajectory.append(result)
             continue
-        x, f0 = x_try, f_try
+        x, f0, result = x_try, f_try, result_try
         step = 2.0 * alpha
         g_new = gradient()
         if not np.all(np.isfinite(g_new)):
@@ -137,7 +140,7 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
         direction = -g_new + beta * direction
         g = g_new
         gnorm2 = float(g @ g)
-        trajectory.append(f0)
+        trajectory.append(result)
     return x, trajectory
 
 
@@ -179,33 +182,27 @@ def finetune(train: Dataset, cfg: TrainConfig,
     _check_batch_capacity(train, make_batches(train.labels, cfg.batch_size, cfg.seed), cfg)
     full_table = build_triples(train, cfg.neighbor_config)
     report = TrainReport()
-    best_loss = np.inf
-    best_x = x.copy()
+    best_loss, best_x = np.inf, x
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         batches = make_batches(train.labels, cfg.batch_size, seed=cfg.seed + epoch)
-        evaluated: dict[int, margin.MarginLoss] = {}  # by id of the point
         for batch_idx, idx in enumerate(batches):
             # one batch is arange(n): the full set's features and table
             batch_features, table = (features, full_table) if len(batches) == 1 else (
                 features[idx], build_triples(train.subset(idx), cfg.neighbor_config))
 
             def objective(vec):
-                result, gradient = margin.loss_and_param_grad(
+                return margin.loss_and_param_grad(
                     EncoderParams(init.widths, vec), batch_features, table)
-                evaluated[id(vec)] = result
-                return result.value, gradient
 
             try:
-                x, _ = polak_ribiere_minimize(objective, x, cfg.cg_line_searches)
+                x, trajectory = polak_ribiere_minimize(objective, x, cfg.cg_line_searches)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
 
-        if len(batches) == 1:
-            # CG returns an array it evaluated, alive ever since, so no later
-            # point shares its id; that evaluation used the full set's table
-            full = evaluated[id(x)]
+        if len(batches) == 1:  # CG's last result used the full set's table at x
+            full = trajectory[-1]
         else:
             full = margin.loss(forward(EncoderParams(init.widths, x), features), full_table)
         if not np.isfinite(full.value):
@@ -216,6 +213,5 @@ def finetune(train: Dataset, cfg: TrainConfig,
             seconds=time.perf_counter() - started,
         ))
         if full.value < best_loss:
-            best_loss = full.value
-            best_x = x.copy()
+            best_loss, best_x = full.value, x
     return EncoderParams(init.widths, best_x), report

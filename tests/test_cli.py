@@ -650,9 +650,20 @@ def test_rerun_from_manifest_in_another_directory(digit_files, tmp_path, monkeyp
     (["split", "--csv", "{train}", "--per-class-train", "2", "--per-class-test", "1",
       "--out-train", "{out}/tr\udcff.csv", "--out-test", "{out}/te.csv"], 2,
      "for --out-train"),
+    # an output path whose directory is missing is refused before any training
+    (["finetune", "--train-csv", "{train}", "--init", "random", "--layers", "64,4",
+      "--k", "2", "--m", "1", "--out", "{out}/o.dnkn", "--report", "{out}/missing/r.csv"],
+     2, "for --report"),
+    (["split", "--csv", "{train}", "--per-class-train", "2", "--per-class-test", "1",
+      "--out-train", "{out}/tr.csv", "--out-test", "{out}/missing/te.csv"], 2,
+     "for --out-test"),
+    # exit 2, not 3: the output check comes before the absent CSV is read
+    (["pretrain", "--train-csv", "{out}/absent.csv", "--layers", "64,4",
+      "--out", "{out}/missing/o.dnkn"], 2, "for --out"),
 ], ids=["pretrain-seed", "finetune-seed", "split-seed", "config-not-utf8", "label-nan",
         "label-inf", "label-1e20", "dtype-float16", "eval-empty-test",
-        "split-negative-count", "split-path-not-utf8"])
+        "split-negative-count", "split-path-not-utf8", "finetune-report-dir-missing",
+        "split-out-test-dir-missing", "pretrain-out-dir-missing"])
 def test_bad_input_exits_with_one_error_line_and_writes_nothing(
         digit_files, tmp_path, capsys, argv, code, message):
     inputs, out = tmp_path / "in", tmp_path / "out"

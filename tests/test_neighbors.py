@@ -476,24 +476,49 @@ class TestByteGrid:
         assert all(r.norms is not None for r in pixel_rows(on, on))
 
     def test_off_grid_tables_are_the_sq_dists_tables(self):
-        # blobs are off the grid: every ordered class pair is its own sq_dists
-        # block, as before the grid path existed
+        # blobs are off the grid: each unordered class pair is one sq_dists
+        # block, and the reverse direction selects from its transpose
         data = make_blobs(per_class=25, num_classes=4, dim=7, seed=63)
         assert pixel_rows(data.features)[0].norms is None
         k, m, f = 3, 4, data.features
         per_class = [data.class_indices(cls) for cls in range(4)]
         targets = np.empty((len(data), k), dtype=np.int64)
-        impostors = np.empty((len(data), 3 * m), dtype=np.int64)
+        chosen = [[] for _ in range(4)]
         for a, idx in enumerate(per_class):
             d = sq_dists(f[idx], f[idx])
             np.fill_diagonal(d, np.inf)
             targets[idx] = idx[nearest(d, k)]
-            impostors[idx] = np.sort(np.concatenate(
-                [per_class[b][nearest(sq_dists(f[idx], f[per_class[b]]), m)]
-                 for b in range(4) if b != a], axis=1), axis=1)
+            for b in range(a + 1, 4):
+                d = sq_dists(f[idx], f[per_class[b]])
+                chosen[a].append(per_class[b][nearest(d, m)])
+                chosen[b].append(idx[nearest(d.T, m)])
+        impostors = np.empty((len(data), 3 * m), dtype=np.int64)
+        for a, idx in enumerate(per_class):
+            impostors[idx] = np.sort(np.concatenate(chosen[a], axis=1), axis=1)
         table = build_triples(data, NeighborConfig(k, m))
         assert table.targets.tobytes() == targets.tobytes()
         assert table.impostors.tobytes() == impostors.tobytes()
+
+    @pytest.mark.parametrize("features", ["blobs", "digits"])
+    def test_one_block_per_class_pair(self, monkeypatch, features):
+        # 4 classes make 6 unordered pairs, on the grid and off it
+        calls = []
+        original = neighbors.pixel_dists
+
+        def counting(a, b):
+            calls.append(None)
+            return original(a, b)
+
+        monkeypatch.setattr(neighbors, "pixel_dists", counting)
+        if features == "blobs":
+            data = make_blobs(per_class=10, num_classes=4, dim=5, seed=65)
+        else:
+            digits = make_digits(3, side=8, seed=65)
+            keep = np.flatnonzero(digits.labels < 4)
+            data = Dataset(digits.features[keep], digits.labels[keep], 4)
+        assert (pixel_rows(data.features)[0].norms is None) == (features == "blobs")
+        impostor_neighbors(data, 2)
+        assert len(calls) == 6
 
 
 def test_pixel_tables_and_knn_do_not_depend_on_blas_threads():

@@ -61,10 +61,41 @@ class TestPolakRibiere:
                 evaluated.append(x)
                 return objective(x)
 
-            x, trajectory = polak_ribiere_minimize(counted, np.ones(4), 3)
-            np.testing.assert_array_equal(x, np.ones(4))
+            # CG never writes into a point: a read-only start is returned as is
+            x0 = np.ones(4)
+            x0.setflags(write=False)
+            x, trajectory = polak_ribiere_minimize(counted, x0, 3)
+            assert x is x0
             assert trajectory == [1.0, 1.0, 1.0, 1.0]
             assert len(evaluated) == 1  # no trial point along a zero direction
+
+    def test_trajectory_holds_the_objective_results(self):
+        # CG compares float(result) and records the results themselves; the
+        # last is the one evaluated at the returned point
+        quadratic = quadratic_problem(6, seed=3)
+
+        class Result:
+            def __init__(self, value):
+                self.value = value
+
+            def __float__(self):
+                return self.value
+
+        results = {}
+
+        def objective(x):
+            value, gradient = quadratic(x)
+            results[x.tobytes()] = result = Result(value)
+            return result, gradient
+
+        x, trajectory = polak_ribiere_minimize(objective, np.zeros(6), 6)
+        assert len(trajectory) == 7
+        assert all(isinstance(r, Result) for r in trajectory)
+        assert trajectory[-1] is results[x.tobytes()]
+        # the same run as with the plain float objective
+        x_float, values = polak_ribiere_minimize(quadratic, np.zeros(6), 6)
+        assert x.tobytes() == x_float.tobytes()
+        assert [float(r) for r in trajectory] == values
 
     def test_each_point_evaluated_once_and_differentiated_only_if_accepted(self):
         # from the origin the first trial overshoots the minimum along -g,
