@@ -18,6 +18,8 @@ from .errors import CapacityError, ConfigError, ConsistencyError, FormatError
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
+# features per chunk of save_idx's rounding: an 8 MB float64 temporary
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -121,15 +123,12 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"image file has {count} items but label file has {label_count}"
         )
 
-    features = (
-        np.frombuffer(payload, dtype=np.uint8)
-        .reshape(count, rows * cols)
-        .astype(np.float64)
-        / 255.0
-    )
+    features = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+    del payload  # freed before Dataset's finiteness check makes a mask of its size
+    features /= 255.0
     labels = np.frombuffer(label_payload, dtype=np.uint8).astype(np.int64)
     num_classes = int(labels.max()) + 1 if count else 1
-    return Dataset(features, labels, num_classes)
+    return Dataset(features.reshape(count, rows * cols), labels, num_classes)
 
 
 def save_idx(data: Dataset, images_path, labels_path) -> None:
@@ -146,13 +145,18 @@ def save_idx(data: Dataset, images_path, labels_path) -> None:
         raise ConfigError(f"feature length {data.dim} is not square")
     if n and data.labels.max() > 255:
         raise ConfigError(f"label {data.labels.max()} does not fit in an IDX label byte")
-    pixels = np.clip(np.round(data.features * 255.0), 0, 255).astype(np.uint8)
+    pixels = np.empty((n, data.dim), dtype=np.uint8)
+    step = max(1, _CHUNK_CELLS // max(1, data.dim))
+    for start in range(0, n, step):
+        scaled = data.features[start : start + step] * 255.0
+        np.round(scaled, out=scaled)
+        pixels[start : start + step] = np.clip(scaled, 0, 255, out=scaled)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGE_MAGIC, n, side, side))
-        f.write(pixels.tobytes())
+        f.write(pixels)
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, n))
-        f.write(data.labels.astype(np.uint8).tobytes())
+        f.write(data.labels.astype(np.uint8))
 
 
 def load_csv(path) -> Dataset:

@@ -21,6 +21,8 @@ from .rbm import Rbm, sigmoid
 
 _MAGIC = b"DNKN"
 _VERSION = 1
+# activations of the widest layer per row chunk of `forward`: 8 MB in float64
+_CHUNK_CELLS = 1 << 20
 
 
 def _split(widths: tuple[int, ...], vec: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -140,12 +142,26 @@ def _apply(a: np.ndarray, weights: np.ndarray, bias: np.ndarray, hidden: bool) -
 
 
 def forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Map input rows to code rows, holding only the current layer's output."""
-    a = _input_rows(params, x)
+    """Map input rows to code rows, a chunk of rows at a time.
+
+    A chunk holds at most _CHUNK_CELLS activations of the widest layer and
+    goes through every layer before the next one starts, so the memory
+    beyond the input and the codes does not grow with the row count.  A
+    row's code is the one its chunk alone would get.  BLAS may round a row
+    of a product differently with the product's row count, so in float64 a
+    code can differ in its last bits from forward_with_cache's code for the
+    same row among more rows than one chunk.
+    """
+    x = _input_rows(params, x)
     layers = params.layers
-    for t, (weights, bias) in enumerate(layers):
-        a = _apply(a, weights, bias, t < len(layers) - 1)
-    return a
+    codes = np.empty((x.shape[0], params.widths[-1]), np.result_type(x, params.vector))
+    step = max(1, _CHUNK_CELLS // max(params.widths))
+    for start in range(0, x.shape[0], step):
+        a = x[start : start + step]
+        for t, (weights, bias) in enumerate(layers):
+            a = _apply(a, weights, bias, t < len(layers) - 1)
+        codes[start : start + step] = a
+    return codes
 
 
 def forward_with_cache(params: EncoderParams,
@@ -209,11 +225,12 @@ def save_checkpoint(params: EncoderParams, path) -> None:
         layers = _split(widths, np.asarray(params.vector, dtype="<f8"))
         for t, (weights, bias) in enumerate(layers):
             f.write(struct.pack("<B", t == len(layers) - 1))
-            f.write(weights.tobytes())
-            f.write(bias.tobytes())
+            f.write(weights)
+            f.write(bias)
 
 
-def _take(buf: bytes, pos: int, n: int, path, what: str) -> tuple[bytes, int]:
+def _take(buf: memoryview, pos: int, n: int, path, what: str) -> tuple[memoryview, int]:
+    """The n bytes at pos, as a view, and the position after them."""
     if pos + n > len(buf):
         raise FormatError(f"{path}: truncated checkpoint while reading {what}")
     return buf[pos : pos + n], pos + n
@@ -226,10 +243,10 @@ def load_checkpoint(path) -> EncoderParams:
     and 1 for the last.
     """
     with open(path, "rb") as f:
-        buf = f.read()
+        buf = memoryview(f.read())  # so each layer below is a view, not a copy
     magic, pos = _take(buf, 0, 4, path, "magic")
     if magic != _MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} (expected {_MAGIC!r})")
+        raise FormatError(f"{path}: bad magic {bytes(magic)!r} (expected {_MAGIC!r})")
     raw, pos = _take(buf, pos, 4, path, "version")
     version = struct.unpack("<I", raw)[0]
     if version != _VERSION:

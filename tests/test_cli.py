@@ -10,7 +10,7 @@ import pytest
 import dnetknn
 from dnetknn import encoder
 from dnetknn.cli import main
-from dnetknn.dataset import Dataset, load_csv, save_csv, save_idx
+from dnetknn.dataset import Dataset, load_csv, load_idx, save_csv, save_idx
 from dnetknn.encoder import EncoderParams, load_checkpoint, save_checkpoint
 
 from _synthetic import make_blobs, make_digits
@@ -512,6 +512,28 @@ class TestEmbed:
         assert lines[0] == "index,label,c1,c2,c3,c4"
         assert len(lines) == 41  # header + 40 test rows
         assert len(lines[1].split(",")) == 6
+
+    def test_two_dimensional_codes_from_pretrain_finetune_embed(self, tmp_path,
+                                                                monkeypatch):
+        # the paper's supervised 2-D embedding, encoded in row chunks of 32
+        monkeypatch.setattr(encoder, "_CHUNK_CELLS", 32 * 784)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        save_idx(make_digits(per_class=10, seed=19), images, labels)
+        data = ["--train-images", str(images), "--train-labels", str(labels)]
+        pre, model, out = tmp_path / "pre.dnkn", tmp_path / "model.dnkn", tmp_path / "e.csv"
+        assert main(["pretrain", *data, "--layers", "784,16,2", "--epochs", "2",
+                     "--mini-batch", "20", "--seed", "7", "--out", str(pre)]) == 0
+        assert main(["finetune", *data, "--init", str(pre), "--k", "2", "--m", "2",
+                     "--epochs", "2", "--cg-iters", "2", "--seed", "7",
+                     "--out", str(model)]) == 0
+        assert main(["embed", *data, "--model", str(model), "--out", str(out)]) == 0
+        params, features = load_checkpoint(model), load_idx(images, labels).features
+        codes = encoder.forward(params, features)
+        assert codes.shape == (100, 2) and np.all(np.isfinite(codes))
+        np.testing.assert_allclose(codes, encoder.forward_with_cache(params, features)[0],
+                                   rtol=1e-12, atol=1e-12)
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert [row[2:] for row in rows] == [["%.17g" % v for v in code] for code in codes]
 
     def test_unreadable_checkpoint_exits_3(self, digit_files, tmp_path):
         code = main([

@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dnetknn import dataset
 from dnetknn.dataset import (
     Dataset,
     SplitSpec,
@@ -100,6 +102,36 @@ class TestLoadIdx:
         again = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
         np.testing.assert_array_equal(again.features, data.features)
         np.testing.assert_array_equal(again.labels, data.labels)
+
+    def test_load_peak_is_the_payload_and_one_float_array(self, tmp_path):
+        rows, side = 2000, 28
+        pixels = np.random.default_rng(2).integers(0, 256, (rows, side * side), np.uint8)
+        img, lab = write_idx_pair(tmp_path, pixels, np.arange(rows) % 10, side, side)
+        tracemalloc.start()
+        try:
+            data = load_idx(img, lab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.features.tobytes() == (pixels / 255.0).tobytes()
+        # one float64 feature array beside either the payload or Dataset's
+        # byte-per-value finiteness mask, never both
+        assert peak <= pixels.nbytes + data.features.nbytes + (1 << 18)
+
+    def test_save_rounds_chunks_to_the_same_bytes(self, tmp_path):
+        side = 28
+        step = dataset._CHUNK_CELLS // (side * side)
+        rng = np.random.default_rng(3)
+        features = rng.uniform(-0.5, 1.5, (2 * step + 5, side * side))
+        half_grid = (rng.integers(-2, 257, features.shape) + 0.5) / 255.0
+        features[::2] = half_grid[::2]  # values at and around the rounding ties
+        data = Dataset(features, np.arange(len(features)) % 10, 10)
+        save_idx(data, tmp_path / "i.idx", tmp_path / "l.idx")
+        want = np.clip(np.round(features * 255.0), 0, 255).astype(np.uint8)
+        raw = (tmp_path / "i.idx").read_bytes()
+        assert raw[:16] == struct.pack(">IIII", 2051, len(features), side, side)
+        assert raw[16:] == want.tobytes()
+        assert (tmp_path / "l.idx").read_bytes()[8:] == data.labels.astype(np.uint8).tobytes()
 
     def test_save_needs_square_images(self, tmp_path):
         data = Dataset(np.zeros((2, 6)), np.array([0, 1]), 2)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dnetknn import encoder
 from dnetknn.encoder import (
     EncoderParams,
     backward,
@@ -113,22 +114,48 @@ class TestForward:
         assert got.dtype == dtype
         assert got.tobytes() == forward_with_cache(params, x)[0].tobytes()
 
-    def test_uncached_forward_holds_two_adjacent_layers(self):
-        rows, sizes = 3000, (784, 500, 500, 2000, 30)
+    def test_uncached_forward_peak_does_not_grow_with_rows(self):
+        sizes = (784, 500, 500, 2000, 30)
         params = init_encoder(sizes, seed=0)
-        x = np.random.default_rng(1).random((rows, 784))
-        peaks = []
-        for run in (forward, lambda p, v: forward_with_cache(p, v)[0]):
+        chunk_activation = encoder._CHUNK_CELLS * 8  # one chunk of the widest layer
+        for rows in (3000, 12000):
+            x = np.random.default_rng(1).random((rows, 784))
             tracemalloc.start()
             try:
-                run(params, x)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                codes = forward(params, x)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        uncached, cached = peaks
-        widest_pair = rows * (500 + 2000) * 8  # the 500 -> 2000 layer's input and output
-        assert uncached < cached
-        assert uncached <= 1.05 * widest_pair
+            assert codes.shape == (rows, 30)
+            # whole layers would take rows * (500 + 2000) * 8 bytes: 60 MB at 3000 rows
+            assert peak - codes.nbytes <= 2 * chunk_activation
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uncached_forward_is_row_wise_across_a_chunk_boundary(self, dtype):
+        sizes = (784, 500, 500, 2000, 30)
+        p = random_params(sizes, seed=3, scale=0.05)
+        params = EncoderParams(p.widths, p.vector.astype(dtype))
+        chunk = encoder._CHUNK_CELLS // max(sizes)
+        x = np.random.default_rng(4).random((chunk + 1, 784)).astype(dtype)
+        got = forward(params, x)
+        want = np.concatenate([forward(params, x[:chunk]), forward(params, x[chunk:])])
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert forward(params, x[chunk]).tobytes() == got[chunk:].tobytes()  # a 1-D row
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(got, forward_with_cache(params, x)[0], rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("input_dtype", [np.uint8, np.float32, np.float64])
+    def test_uncached_forward_of_no_rows_has_the_promoted_dtype(self, param_dtype,
+                                                                input_dtype):
+        p = random_params([6, 4, 2], seed=1)
+        params = EncoderParams(p.widths, p.vector.astype(param_dtype))
+        for rows in (0, 1):
+            x = np.zeros((rows, 6), input_dtype)
+            got = forward(params, x)
+            assert got.shape == (rows, 2)
+            assert got.dtype == forward_with_cache(params, x)[0].dtype
 
     def test_layer_needs_one_floating_dtype(self):
         with pytest.raises(ConfigError):
@@ -336,6 +363,34 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
+
+    def test_truncation_inside_each_layer_names_it(self, tmp_path):
+        widths = (3, 2, 1)
+        path = tmp_path / "model.dnkn"
+        save_checkpoint(random_params(widths, seed=23), path)
+        raw = path.read_bytes()
+        pos = 4 + 4 + 4 + 4 * len(widths)
+        for t, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+            for cut, what in ((pos, "activation flag"), (pos + 1 + 8 * n_in, "parameters")):
+                path.write_bytes(raw[:cut])
+                with pytest.raises(FormatError, match=f"truncated .* layer {t} {what}"):
+                    load_checkpoint(path)
+            pos += 1 + 8 * (n_in * n_out + n_out)
+
+    def test_load_holds_the_file_and_the_vector(self, tmp_path):
+        params = init_encoder([784, 500, 500, 2000, 30], seed=0)
+        path = tmp_path / "big.dnkn"
+        save_checkpoint(params, path)
+        tracemalloc.start()
+        try:
+            again = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.vector.tobytes() == params.vector.tobytes()
+        # the file, the vector and EncoderParams' byte-per-value finiteness
+        # mask; a bytes copy of each layer would add one more file size
+        assert peak <= path.stat().st_size + 9 * again.num_params + (1 << 16)
 
     def test_file_size_of_full_architecture(self, tmp_path):
         sizes = [784, 500, 500, 2000, 30]
