@@ -1,20 +1,21 @@
 """Classifiers: majority-vote kNN and minimum-energy labeling.
 
-kNN takes its distances from `neighbors.pixel_dists`, so rows on the 1/255
-byte grid (the pixel baseline) are compared exactly and a tie is an exact
-tie; off the grid (codes) they are `neighbors.sq_dists` and a tie means equal
-computed distances.  `neighbors.nearest` selects an index-ordered set and
-kNN ranks its k, ties toward the smaller training index.  kNN votes over the
-classes present (ids may be sparse) and breaks vote ties toward the class of
-the nearest neighbor among the tied classes.  Energy classification
-hypothesizes each class in turn for the test point: its k nearest codes of
-that class act as targets, its m nearest codes of every other class act as
-impostors, and the smallest hinge-energy sum wins (ties toward the smaller
-class id); `neighbors.check_capacity` refuses classes too small for k and m.
-Energy runs on batches of test points, from float64 `sq_dists` whatever the
-code dtype.  Both search the rows given, codes or raw pixels: a test point
-has no pixel-table row.
-Each returns a `PREDICTION` record array: one (label, score) per test point.
+Both run one loop, `_predict`, which takes each chunk of test rows'
+distances from `neighbors.pixel_dists`.  kNN passes it `pixel_rows`: rows on
+the 1/255 byte grid (the pixel baseline) are compared in exact integers and
+a tie is an exact tie; off it (codes of any dtype) they are compared in
+float64 and a tie means equal computed distances.  Energy always compares
+float64 rows, never grid units.  `neighbors.nearest` selects an
+index-ordered set and kNN ranks its k, ties toward the smaller training
+index.  kNN votes over the classes present (ids may be sparse) and breaks
+vote ties toward the class of the nearest neighbor among the tied classes.
+Energy classification hypothesizes each class in turn for the test point:
+its k nearest codes of that class act as targets, its m nearest codes of
+every other class act as impostors, and the smallest hinge-energy sum wins
+(ties toward the smaller class id); `neighbors.check_capacity` refuses
+classes too small for k and m.  Both search the rows given, codes or raw
+pixels: a test point has no pixel-table row.  Each returns a `PREDICTION`
+record array: one (label, score) per test point.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DimensionError
-from .neighbors import (NeighborConfig, check_capacity, nearest, pixel_dists, pixel_rows,
-                        sq_dists)
+from .neighbors import (NeighborConfig, PixelRows, check_capacity, nearest, pixel_dists,
+                        pixel_rows)
 
 _CHUNK_ROWS = 256
 
@@ -49,14 +50,14 @@ def _checked(train_codes, train_labels, test_codes):
     return train_codes, train_labels, test_codes
 
 
-def _predict(count: int, dists, rule) -> np.recarray:
-    """One PREDICTION record per test row.  `dists` maps a slice of the
-    count test rows to their distances to every training row, and `rule`
-    maps those distances to the rows' (labels, scores)."""
-    predictions = np.recarray(count, dtype=PREDICTION)
-    for start in range(0, count, _CHUNK_ROWS):
+def _predict(train: PixelRows, test: PixelRows, rule) -> np.recarray:
+    """One PREDICTION record per test row.  `rule` maps each chunk's
+    `pixel_dists` block (test rows by training rows) to its (labels, scores)."""
+    predictions = np.recarray(test.rows.shape[0], dtype=PREDICTION)
+    for start in range(0, len(predictions), _CHUNK_ROWS):
         chunk = slice(start, start + _CHUNK_ROWS)
-        predictions.label[chunk], predictions.score[chunk] = rule(dists(chunk))
+        dists = pixel_dists(test.take(chunk), train)
+        predictions.label[chunk], predictions.score[chunk] = rule(dists)
     return predictions
 
 
@@ -85,9 +86,7 @@ def knn_predict(train_codes: np.ndarray, train_labels: np.ndarray,
         return classes[labels[rows, first]], counts[rows, first]
 
     # the byte-grid test, once per array of this call
-    train_rows, test_rows = pixel_rows(train_codes, test_codes)
-    return _predict(test_codes.shape[0],
-                    lambda chunk: pixel_dists(test_rows.take(chunk), train_rows), vote)
+    return _predict(*pixel_rows(train_codes, test_codes), vote)
 
 
 def energy_predict_all(train_codes, train_labels, test_codes,
@@ -113,10 +112,10 @@ def energy_predict_all(train_codes, train_labels, test_codes,
         labels = energies.argmin(axis=1)  # argmin takes the smaller class id on ties
         return labels, -energies[np.arange(labels.size), labels]
 
-    train_codes = train_codes.astype(np.float64)
-    test_codes = test_codes.astype(np.float64)
-    return _predict(test_codes.shape[0],
-                    lambda chunk: sq_dists(test_codes[chunk], train_codes), lowest_energy)
+    # float64, never grid units: they would scale the hinge's distances by 255^2
+    train, test = (PixelRows(x.astype(np.float64, copy=False), None)
+                   for x in (train_codes, test_codes))
+    return _predict(train, test, lowest_energy)
 
 
 def error_rate(predictions: np.recarray, true_labels) -> float:

@@ -60,10 +60,16 @@ def _nonnegative_int(text: str) -> int:
 
 def _path(text: str) -> str:
     """Absolute, so that a manifest reruns from any working directory.  A
-    name that is not UTF-8 (kept as surrogate escapes) could not be written
-    into the manifest: its UnicodeEncodeError is a ValueError, refused here."""
+    name the manifest could not carry is refused: one that is not UTF-8 (kept
+    as surrogate escapes; its UnicodeEncodeError is a ValueError), and one
+    with a line break or trailing whitespace, which its line-based ``key =
+    value`` reading would split or strip into another name."""
     text.encode("utf-8")
-    return os.path.abspath(text)
+    path = os.path.abspath(text)
+    if "\n" in path or "\r" in path or path != path.rstrip():
+        raise ValueError("a path with a line break or trailing whitespace "
+                         "cannot be written into a manifest")
+    return path
 
 
 def _out_path(text: str) -> str:

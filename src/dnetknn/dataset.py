@@ -22,6 +22,12 @@ LABEL_MAGIC = 2049
 _CHUNK_CELLS = 1 << 20
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """Whether x holds no NaN or infinity, found without a mask over x: either
+    one reaches its `min` or its `max`."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Per-class train/test counts, optionally preceded by a seeded shuffle."""
@@ -58,7 +64,7 @@ class Dataset:
                 f"{labs.shape[0] if labs.ndim == 1 else labs.shape} labels "
                 f"for {feats.shape[0]} feature rows"
             )
-        if not np.all(np.isfinite(feats)):
+        if not all_finite(feats):
             raise ConsistencyError("features contain non-finite values")
         if self.num_classes < 1:
             raise ConsistencyError("num_classes must be positive")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import all_finite
 from .errors import ConfigError, ConsistencyError, DimensionError, FormatError
 from .rbm import Rbm, sigmoid
 
@@ -61,7 +62,7 @@ class EncoderParams:
         if vec.shape != (size,):
             raise DimensionError(f"parameter vector has shape {vec.shape}, expected "
                                  f"({size},) for widths {widths}")
-        if not np.all(np.isfinite(vec)):
+        if not all_finite(vec):
             raise ConsistencyError("encoder parameters contain non-finite values")
         view = vec.view()
         view.flags.writeable = False

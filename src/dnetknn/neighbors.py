@@ -10,9 +10,9 @@ Pixel rows on the 1/255 byte grid (IDX images, the synthetic digits) are
 compared exactly: `pixel_rows` tests the grid once per table build and
 `pixel_dists` computes the integer squared distances of the bytes, so a tie
 is an exact tie and no table depends on the BLAS build or its thread count.
-Off the grid `pixel_dists` is `sq_dists`, and a tie means equal computed
-float distances: points equally far in exact arithmetic can compute unequal
-distances, and then the smaller one wins.  On and off the grid, a pair's
+Off the grid `pixel_dists` is `sq_dists` of float64 rows, and a tie means
+equal computed distances: points equally far in exact arithmetic can compute
+unequal distances, and then the smaller one wins.  On and off the grid, a pair's
 distance is one computed number, used in both directions.  `sq_dists`
 refuses non-finite distances, so no selection sees a NaN.
 
@@ -108,8 +108,8 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         step = max(1, _CHUNK_CELLS // max(1, d.shape[1]))
         for start in range(0, d.shape[0], step):
             d[start : start + step] += aa[start : start + step] + bb
-    np.maximum(d, 0.0, out=d)
-    if not np.isfinite(d).all():
+    np.maximum(d, 0.0, out=d)  # a NaN survives the clamp, so the max below sees it
+    if not np.isfinite(d.max(initial=0.0)):
         raise DivergenceError("squared distances overflow: the features or codes "
                               "are too large to compare")
     return d
@@ -118,7 +118,7 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PixelRows(NamedTuple):
     """Feature rows as `pixel_dists` reads them.  On the byte grid `rows`
     holds the grid integers, features * 255, as float32 and `norms` their
-    exact int64 squared norms; off it `rows` is the features themselves and
+    exact int64 squared norms; off it `rows` is the features in float64 and
     `norms` is None."""
 
     rows: np.ndarray
@@ -155,13 +155,13 @@ def _byte_grid(features: np.ndarray) -> PixelRows | None:
 
 
 def pixel_rows(*features: np.ndarray) -> list[PixelRows]:
-    """Each array as `pixel_dists` reads it: all on the byte grid, or all as
-    they are when any one is off it.  This is the grid test, once per array."""
+    """Each array as `pixel_dists` reads it: all on the byte grid, or all in
+    float64 when any one is off it.  This is the grid test, once per array."""
     grids = []
     for f in features:
         grid = _byte_grid(f)
         if grid is None:
-            return [PixelRows(f, None) for f in features]
+            return [PixelRows(f.astype(np.float64, copy=False), None) for f in features]
         grids.append(grid)
     return grids
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, all_finite
 from .errors import ConfigError, ConsistencyError, DimensionError, DivergenceError
 
 WEIGHT_SCALE = 0.01  # std of the initial weights
@@ -74,7 +74,7 @@ class Rbm:
                 f"bias lengths {b.shape[0]}/{c.shape[0]} do not match "
                 f"weight shape {w.shape}"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        if not (all_finite(w) and all_finite(b) and all_finite(c)):
             raise DivergenceError("rbm parameters contain non-finite values")
 
     @property
@@ -196,7 +196,7 @@ def train_rbm(data: np.ndarray, num_hidden: int, cfg: CdConfig,
                 vel *= mom
                 vel += grad
                 param += vel
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        if not (all_finite(w) and all_finite(b) and all_finite(c)):
             raise DivergenceError(f"rbm training diverged in epoch {epoch}")
         history.append(float(np.mean(errs)))
     return rbm, history

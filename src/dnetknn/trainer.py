@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import margin
-from .dataset import Dataset, make_batches
+from .dataset import Dataset, all_finite, make_batches
 from .encoder import EncoderParams, forward
 from .errors import CapacityError, ConfigError, DimensionError, DivergenceError
 from .neighbors import NeighborConfig, build_triples, check_capacity
@@ -101,7 +101,7 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
     result, gradient = objective(x)
     f0 = float(result)
     g = gradient()
-    if not (np.isfinite(f0) and np.all(np.isfinite(g))):
+    if not (np.isfinite(f0) and all_finite(g)):
         raise DivergenceError("objective is non-finite at the starting point")
     trajectory = [result]
     direction = -g
@@ -134,7 +134,7 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
         x, f0, result = x_try, f_try, result_try
         step = 2.0 * alpha
         g_new = gradient()
-        if not np.all(np.isfinite(g_new)):
+        if not all_finite(g_new):
             raise DivergenceError("objective became non-finite after a step")
         beta = max(0.0, float(g_new @ (g_new - g)) / gnorm2)
         direction = -g_new + beta * direction

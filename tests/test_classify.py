@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dnetknn import classify
 from dnetknn.classify import (
     _CHUNK_ROWS,
     PREDICTION,
@@ -125,6 +126,21 @@ class TestKnnPredict:
                                               test @ q + shift, 3)]
         assert before == after
 
+    @pytest.mark.parametrize("codes", ["int64", "float16"])
+    def test_off_grid_codes_are_compared_in_float64(self, codes):
+        # integers too large for the byte grid, and float16 codes whose squared
+        # distances overflow float16: both vote as their float64 values do
+        rng = np.random.default_rng(57)
+        if codes == "int64":
+            train, test = (rng.integers(-2 ** 30, 2 ** 30, (rows, 3)) for rows in (40, 25))
+        else:
+            train, test = ((rng.standard_normal((rows, 3)) * 300).astype(np.float16)
+                           for rows in (40, 25))
+        labels = rng.integers(0, 3, size=40)
+        got = knn_predict(train, labels, test, 3)
+        want = knn_predict(train.astype(np.float64), labels, test.astype(np.float64), 3)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestEnergyPredict:
     def test_coincident_cluster_has_zero_energy(self):
@@ -211,6 +227,25 @@ def test_classifiers_check_inputs(predict, n_train, labels, width, error):
     train = np.random.default_rng(55).standard_normal((n_train, 3))
     with pytest.raises(error):
         predict(train, labels, np.zeros((2, width)))
+
+
+@pytest.mark.parametrize("predict", [
+    lambda train, labels, test: knn_predict(train, labels, test, 3),
+    lambda train, labels, test: energy_predict_all(train, labels, test, NeighborConfig(2, 3)),
+], ids=["knn", "energy"])
+def test_classifiers_form_one_distance_block_per_chunk(monkeypatch, predict):
+    calls = []
+    original = classify.pixel_dists
+
+    def counting(a, b):
+        calls.append((a.rows.shape[0], b.rows.shape[0]))
+        return original(a, b)
+
+    monkeypatch.setattr(classify, "pixel_dists", counting)
+    rng = np.random.default_rng(58)
+    predict(rng.standard_normal((30, 3)), np.repeat(np.arange(3), 10),
+            rng.standard_normal((_CHUNK_ROWS + 1, 3)))
+    assert calls == [(_CHUNK_ROWS, 30), (1, 30)]
 
 
 def predictions(labels, scores=None):

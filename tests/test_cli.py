@@ -682,10 +682,16 @@ def test_rerun_from_manifest_in_another_directory(digit_files, tmp_path, monkeyp
     # exit 2, not 3: the output check comes before the absent CSV is read
     (["pretrain", "--train-csv", "{out}/absent.csv", "--layers", "64,4",
       "--out", "{out}/missing/o.dnkn"], 2, "for --out"),
+    # a manifest strips trailing whitespace and splits lines: refused up front
+    (["pretrain", "--train-csv", "{train}", "--layers", "64,4", "--out", "{out}/m.dnkn "],
+     2, "for --out"),
+    (["pretrain", "--train-csv", "{out}/a\nb.csv", "--layers", "64,4",
+      "--out", "{out}/m.dnkn"], 2, "for --train-csv"),
 ], ids=["pretrain-seed", "finetune-seed", "split-seed", "config-not-utf8", "label-nan",
         "label-inf", "label-1e20", "dtype-float16", "eval-empty-test",
         "split-negative-count", "split-path-not-utf8", "finetune-report-dir-missing",
-        "split-out-test-dir-missing", "pretrain-out-dir-missing"])
+        "split-out-test-dir-missing", "pretrain-out-dir-missing",
+        "pretrain-out-trailing-space", "pretrain-train-csv-line-break"])
 def test_bad_input_exits_with_one_error_line_and_writes_nothing(
         digit_files, tmp_path, capsys, argv, code, message):
     inputs, out = tmp_path / "in", tmp_path / "out"

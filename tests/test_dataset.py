@@ -114,8 +114,7 @@ class TestLoadIdx:
         finally:
             tracemalloc.stop()
         assert data.features.tobytes() == (pixels / 255.0).tobytes()
-        # one float64 feature array beside either the payload or Dataset's
-        # byte-per-value finiteness mask, never both
+        # one float64 feature array beside the payload
         assert peak <= pixels.nbytes + data.features.nbytes + (1 << 18)
 
     def test_save_rounds_chunks_to_the_same_bytes(self, tmp_path):
@@ -185,6 +184,24 @@ class TestDatasetInvariants:
     def test_non_finite(self):
         with pytest.raises(ConsistencyError):
             Dataset(np.array([[np.nan, 0.0]]), np.array([0]), 1)
+        for value, at in ((np.inf, 0), (-np.inf, 0), (np.nan, -1)):
+            features = np.zeros((3, 4))
+            features.flat[at] = value
+            with pytest.raises(ConsistencyError, match="non-finite"):
+                Dataset(features, np.zeros(3, dtype=np.int64), 1)
+
+    def test_finiteness_check_allocates_no_mask(self):
+        features = np.random.default_rng(4).random((2000, 784))
+        labels = np.arange(2000) % 10
+        tracemalloc.start()
+        try:
+            data = Dataset(features, labels, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.features.base is features
+        # a byte-per-value mask would be nbytes / 8
+        assert peak < features.nbytes / 16
 
     def test_length_mismatch(self):
         with pytest.raises(ConsistencyError):

@@ -310,6 +310,23 @@ class TestFlatten:
         vec[3] = np.nan
         with pytest.raises(ConsistencyError):
             EncoderParams(params.widths, vec)
+        for value, at in ((np.inf, 3), (-np.inf, 3), (np.nan, -1)):
+            vec = params.vector.copy()
+            vec[at] = value
+            with pytest.raises(ConsistencyError, match="non-finite"):
+                EncoderParams(params.widths, vec)
+
+    def test_finiteness_check_allocates_no_mask(self):
+        params = init_encoder([784, 500, 500, 2000, 30], seed=0)
+        tracemalloc.start()
+        try:
+            again = EncoderParams(params.widths, params.vector)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.vector.base is params.vector.base
+        # a byte-per-value mask would be nbytes / 8
+        assert peak < params.vector.nbytes / 16
 
     def test_gradient_flattening_matches_parameter_order(self):
         params = random_params([4, 3, 2], seed=20)
@@ -388,9 +405,9 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert again.vector.tobytes() == params.vector.tobytes()
-        # the file, the vector and EncoderParams' byte-per-value finiteness
-        # mask; a bytes copy of each layer would add one more file size
-        assert peak <= path.stat().st_size + 9 * again.num_params + (1 << 16)
+        # the file and the vector; a bytes copy of each layer would add one
+        # more file size
+        assert peak <= path.stat().st_size + 8 * again.num_params + (1 << 16)
 
     def test_file_size_of_full_architecture(self, tmp_path):
         sizes = [784, 500, 500, 2000, 30]

@@ -470,6 +470,12 @@ class TestByteGrid:
         (rows,) = pixel_rows(features)
         assert rows.norms is None and rows.rows is features
 
+    def test_off_the_grid_float32_rows_come_back_as_float64(self):
+        features = np.array([[0.3, 1.0], [2.5, -7.25]], dtype=np.float32)
+        (rows,) = pixel_rows(features)
+        assert rows.norms is None and rows.rows.dtype == np.float64
+        np.testing.assert_array_equal(rows.rows, features)
+
     def test_one_row_off_the_grid_keeps_every_array_as_it_is(self):
         on, off = np.array([[1 / 255.0]]), np.array([[0.3 + 1e-9]])
         assert all(r.norms is None for r in pixel_rows(on, off))
