@@ -4,8 +4,9 @@ Both run one loop, `_predict`, which takes each chunk of test rows'
 distances from `neighbors.pixel_dists`.  kNN passes it `pixel_rows`: rows on
 the 1/255 byte grid (the pixel baseline) are compared in exact integers and
 a tie is an exact tie; off it (codes of any dtype) they are compared in
-float64 and a tie means equal computed distances.  Energy always compares
-float64 rows, never grid units.  `neighbors.nearest` selects an
+float64 and a tie means equal computed distances.  Energy always passes
+`float_rows`: float64, never grid units.  Either way each array's norms are
+computed once, not once per chunk.  `neighbors.nearest` selects an
 index-ordered set and kNN ranks its k, ties toward the smaller training
 index.  kNN votes over the classes present (ids may be sparse) and breaks
 vote ties toward the class of the nearest neighbor among the tied classes.
@@ -23,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, DimensionError
-from .neighbors import (NeighborConfig, PixelRows, check_capacity, nearest, pixel_dists,
-                        pixel_rows)
+from .neighbors import (NeighborConfig, PixelRows, check_capacity, float_rows, nearest,
+                        pixel_dists, pixel_rows)
 
 _CHUNK_ROWS = 256
 
@@ -113,9 +114,7 @@ def energy_predict_all(train_codes, train_labels, test_codes,
         return labels, -energies[np.arange(labels.size), labels]
 
     # float64, never grid units: they would scale the hinge's distances by 255^2
-    train, test = (PixelRows(x.astype(np.float64, copy=False), None)
-                   for x in (train_codes, test_codes))
-    return _predict(train, test, lowest_energy)
+    return _predict(float_rows(train_codes), float_rows(test_codes), lowest_energy)
 
 
 def error_rate(predictions: np.recarray, true_labels) -> float:

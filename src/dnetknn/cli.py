@@ -11,13 +11,15 @@ help), each subcommand once in ``_COMMANDS`` (handler, help, its options and
 the required ones); they drive the argparse flags, the config-file keys and
 ``_resolve``, which converts and checks flag and file values alike.
 Precedence: flags beat a ``--config`` file (line-based ``key = value``, keys
-being the command's option names) which beats built-in defaults.  Every run
-that writes a file writes a ``<output>.manifest`` beside its first output
-(for ``eval``: ``--out``, else ``--dump-predictions``; an ``eval`` that only
-prints writes none).  It records the resolved values, with paths made
-absolute, so any run can be reproduced from its manifest alone, from any
-working directory.  Output paths are checked as they are resolved, before
-any data is read.
+being the command's option names, each at most once) which beats built-in
+defaults.  Every run that writes a file writes a ``<output>.manifest``
+beside its first output (for ``eval``: ``--out``, else
+``--dump-predictions``; an ``eval`` that only prints writes none).  It
+records the resolved values, with paths made absolute, so any run can be
+reproduced from its manifest alone, from any working directory.  Output
+paths are checked as they are resolved, before any data is read, and a run
+is refused when two of its outputs (the manifest included) or an output and
+an input are one file.
 
 A handler returns nothing or raises; ``main`` alone turns a run into an exit
 status: 0 ok, else the raised error's ``exit_code`` (see `errors`; 2 config, 3
@@ -185,6 +187,7 @@ def _read_config_file(path) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -192,7 +195,12 @@ def _read_config_file(path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        entries[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key} was already set on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
+        entries[key] = value.strip()
     return entries
 
 
@@ -225,7 +233,29 @@ def _resolve(args) -> dict:
         cfg[name] = _OPTIONS[name].default if text is None else _convert(name, text)
     for name in spec.required:
         _require(cfg, name)
+    if "report" in cfg and cfg["report"] is None:  # finetune's default report path
+        cfg["report"] = _convert("report", cfg["out"] + ".report.csv")
+    _check_collisions(spec.options, cfg)
     return cfg
+
+
+def _check_collisions(options, cfg: dict) -> None:
+    """Refuse a run that would write one file twice or overwrite an input;
+    its manifest could not rerun it.  The outputs are the ``_out_path``
+    options and the manifest beside the first, the inputs the ``_path``
+    options and a checkpoint ``--init``.  ``--config`` is no input here:
+    rerunning a manifest rewrites it by design."""
+    outputs = [(_flag(name), cfg[name]) for name in options
+               if _OPTIONS[name].convert is _out_path and cfg[name] is not None]
+    if outputs:
+        outputs.append((f"the manifest of {outputs[0][0]}", outputs[0][1] + ".manifest"))
+    seen = {os.path.realpath(cfg[name]): _flag(name) for name in options
+            if _OPTIONS[name].convert in (_path, _init) and cfg[name] not in (None, "random")}
+    for flag, path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{flag} and {seen[real]} name one file, {path}")
+        seen[real] = flag
 
 
 def _require(cfg: dict, key: str):
@@ -313,12 +343,10 @@ def _cmd_finetune(cfg: dict) -> None:
     data = _load_split(cfg, "train")
     params, report = trainer.finetune(data, train_cfg, init_params)
     encoder.save_checkpoint(params, cfg["out"])
-    report_path = cfg["report"] or (str(cfg["out"]) + ".report.csv")
-    report.save(report_path)
-    cfg["report"] = report_path
+    report.save(cfg["report"])
     manifest = _write_manifest(cfg["out"], "finetune", cfg)
     final = report.losses[-1]
-    print(f"wrote {cfg['out']}; final loss {final:.6g}; report {report_path}; "
+    print(f"wrote {cfg['out']}; final loss {final:.6g}; report {cfg['report']}; "
           f"manifest {manifest}")
 
 

@@ -143,10 +143,10 @@ def _apply(a: np.ndarray, weights: np.ndarray, bias: np.ndarray, hidden: bool) -
 
 
 def forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Map input rows to code rows, a chunk of rows at a time.
+    """Map input rows to code rows, each chunk of rows by forward_with_cache.
 
-    A chunk holds at most _CHUNK_CELLS activations of the widest layer and
-    goes through every layer before the next one starts, so the memory
+    A chunk holds at most _CHUNK_CELLS activations of the widest layer, and
+    its activations are dropped before the next chunk starts, so the memory
     beyond the input and the codes does not grow with the row count.  A
     row's code is the one its chunk alone would get.  BLAS may round a row
     of a product differently with the product's row count, so in float64 a
@@ -154,14 +154,10 @@ def forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     same row among more rows than one chunk.
     """
     x = _input_rows(params, x)
-    layers = params.layers
     codes = np.empty((x.shape[0], params.widths[-1]), np.result_type(x, params.vector))
     step = max(1, _CHUNK_CELLS // max(params.widths))
     for start in range(0, x.shape[0], step):
-        a = x[start : start + step]
-        for t, (weights, bias) in enumerate(layers):
-            a = _apply(a, weights, bias, t < len(layers) - 1)
-        codes[start : start + step] = a
+        codes[start : start + step] = forward_with_cache(params, x[start : start + step])[0]
     return codes
 
 

@@ -6,15 +6,16 @@ Euclidean distance and are never refreshed while the codes move.  `nearest`
 selects an index-ordered set; kNN in `classify` ranks its k.  Ties break
 toward the smaller index.
 
-Pixel rows on the 1/255 byte grid (IDX images, the synthetic digits) are
-compared exactly: `pixel_rows` tests the grid once per table build and
-`pixel_dists` computes the integer squared distances of the bytes, so a tie
-is an exact tie and no table depends on the BLAS build or its thread count.
-Off the grid `pixel_dists` is `sq_dists` of float64 rows, and a tie means
-equal computed distances: points equally far in exact arithmetic can compute
-unequal distances, and then the smaller one wins.  On and off the grid, a pair's
-distance is one computed number, used in both directions.  `sq_dists`
-refuses non-finite distances, so no selection sees a NaN.
+Every distance block comes from `pixel_dists`, which reads rows that carry
+their norms.  Pixel rows on the 1/255 byte grid (IDX images, the synthetic
+digits) are compared exactly: `pixel_rows` tests the grid once per table
+build and `pixel_dists` computes the integer squared distances of the bytes,
+so a tie is an exact tie and no table depends on the BLAS build or its thread
+count.  Off the grid rows are compared in float64 (`float_rows`), and a tie
+means equal computed distances: points equally far in exact arithmetic can
+compute unequal distances, and then the smaller one wins.  On and off the
+grid, a pair's distance is one computed number, used in both directions.
+`pixel_dists` refuses non-finite distances, so no selection sees a NaN.
 
 The table stays factored: row i holds anchor i's k targets and its
 M = m * (c-1) impostors, n * (k + M) indices in all.  Its n * k * M rows
@@ -31,7 +32,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import CapacityError, ConfigError, ConsistencyError, DivergenceError
 
-# distance-block cells per step of `sq_dists` and `nearest`: bounds their temporaries
+# distance-block cells per step of `pixel_dists` and `nearest`: bounds their temporaries
 _CHUNK_CELLS = 1 << 20
 # cells per step of the grid test: its two float64 temporaries stay at 1 MB
 _GRID_CHUNK_CELLS = 1 << 17
@@ -91,41 +92,25 @@ class TriplesTable:
         return self.targets.shape[0] * self.targets.shape[1] * self.impostors.shape[1]
 
 
-def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between rows of a and rows of b.
-
-    Raises DivergenceError when a distance is not finite: finite rows whose
-    squares overflow would otherwise rank every neighbor by NaN.  The block
-    is formed in the product's own buffer as -2 (a b^T) + (|a|^2 + |b|^2),
-    the norms added a row chunk at a time; that equals |a|^2 + |b|^2 - 2 a b^T
-    bit for bit, because doubling is exact and x - y is x + (-y).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        aa = (a * a).sum(axis=1)[:, None]
-        bb = (b * b).sum(axis=1)[None, :]
-        d = a @ b.T
-        d *= -2.0
-        step = max(1, _CHUNK_CELLS // max(1, d.shape[1]))
-        for start in range(0, d.shape[0], step):
-            d[start : start + step] += aa[start : start + step] + bb
-    np.maximum(d, 0.0, out=d)  # a NaN survives the clamp, so the max below sees it
-    if not np.isfinite(d.max(initial=0.0)):
-        raise DivergenceError("squared distances overflow: the features or codes "
-                              "are too large to compare")
-    return d
-
-
 class PixelRows(NamedTuple):
     """Feature rows as `pixel_dists` reads them.  On the byte grid `rows`
     holds the grid integers, features * 255, as float32 and `norms` their
-    exact int64 squared norms; off it `rows` is the features in float64 and
-    `norms` is None."""
+    exact int64 squared norms; off it, see `float_rows`.  A row's norm does
+    not depend on the other rows, so `take` needs no new norms."""
 
     rows: np.ndarray
-    norms: np.ndarray | None
+    norms: np.ndarray
 
     def take(self, idx) -> PixelRows:
-        return PixelRows(self.rows[idx], None if self.norms is None else self.norms[idx])
+        return PixelRows(self.rows[idx], self.norms[idx])
+
+
+def float_rows(x: np.ndarray) -> PixelRows:
+    """x in float64 (no copy when it is already) with norms (x * x).sum(axis=1),
+    inf where they overflow: `pixel_dists` refuses those rows' distances."""
+    rows = x.astype(np.float64, copy=False)
+    with np.errstate(over="ignore"):
+        return PixelRows(rows, (rows * rows).sum(axis=1))
 
 
 def _byte_grid(features: np.ndarray) -> PixelRows | None:
@@ -161,33 +146,48 @@ def pixel_rows(*features: np.ndarray) -> list[PixelRows]:
     for f in features:
         grid = _byte_grid(f)
         if grid is None:
-            return [PixelRows(f.astype(np.float64, copy=False), None) for f in features]
+            return [float_rows(f) for f in features]
         grids.append(grid)
     return grids
 
 
 def pixel_dists(a: PixelRows, b: PixelRows) -> np.ndarray:
-    """Squared distances between the rows of a and b, from `pixel_rows`.
+    """Squared distances between the rows of a and b, from `pixel_rows` or
+    `float_rows`, formed in the product's own buffer as -2 (a b^T) +
+    (|a|^2 + |b|^2), the norms added a row chunk at a time.
 
-    Off the grid this is `sq_dists`.  On it every value is the exact integer
-    squared distance of the bytes, |a|^2 + |b|^2 - 2 a b^T in integers: int32
-    while 2 (max|a|^2 + max|b|^2), which bounds every term and sum, is below
-    2^31 (always, for rows of up to 8256 bytes in [0, 255]), else int64.  The
-    Gram product a b^T is formed in float32 when max|a| max|b| < 2^24, where
-    it is exact in any summation order, with or without FMA, and in float64
-    otherwise, where every partial sum stays below 2^48.
+    Off the grid this is float64 |a|^2 + |b|^2 - 2 a b^T clamped at 0, bit
+    for bit (doubling is exact and x - y is x + (-y)), and DivergenceError
+    when a distance is not finite.  On it every value is the exact integer
+    squared distance of the bytes: int32 while 2 (max|a|^2 + max|b|^2), which
+    bounds every term and sum, is below 2^31 (always, for rows of up to 8256
+    bytes in [0, 255]), else int64.  The Gram product a b^T is formed in
+    float32 when max|a| max|b| < 2^24, where it is exact in any summation
+    order, with or without FMA, and in float64 otherwise, where every partial
+    sum stays below 2^48.
     """
-    if a.norms is None:
-        return sq_dists(a.rows, b.rows)
-    top_a, top_b = int(a.norms.max(initial=0)), int(b.norms.max(initial=0))
-    if top_a * top_b < _LIMIT_SQ:
-        gram = a.rows @ b.rows.T
-    else:
-        gram = a.rows.astype(np.float64) @ b.rows.T.astype(np.float64)
-    d = gram.astype(np.int32 if 2 * (top_a + top_b) < 2 ** 31 else np.int64)
-    d *= -2
-    d += a.norms.astype(d.dtype)[:, None]
-    d += b.norms.astype(d.dtype)
+    grid = a.norms.dtype.kind == "i"
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        if not grid:
+            d = a.rows @ b.rows.T
+        else:
+            top_a, top_b = int(a.norms.max(initial=0)), int(b.norms.max(initial=0))
+            if top_a * top_b < _LIMIT_SQ:
+                gram = a.rows @ b.rows.T
+            else:
+                gram = a.rows.astype(np.float64) @ b.rows.T.astype(np.float64)
+            d = gram.astype(np.int32 if 2 * (top_a + top_b) < 2 ** 31 else np.int64)
+        d *= -2
+        aa = a.norms.astype(d.dtype, copy=False)[:, None]
+        bb = b.norms.astype(d.dtype, copy=False)
+        step = max(1, _CHUNK_CELLS // max(1, d.shape[1]))
+        for start in range(0, d.shape[0], step):
+            d[start : start + step] += aa[start : start + step] + bb
+    if not grid:
+        np.maximum(d, 0.0, out=d)  # a NaN survives the clamp, so the max below sees it
+        if not np.isfinite(d.max(initial=0.0)):
+            raise DivergenceError("squared distances overflow: the features or codes "
+                                  "are too large to compare")
     return d
 
 

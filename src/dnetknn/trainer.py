@@ -179,13 +179,15 @@ def finetune(train: Dataset, cfg: TrainConfig,
     features = train.features.astype(dtype, copy=False)
     x = init.vector.astype(dtype)
 
-    _check_batch_capacity(train, make_batches(train.labels, cfg.batch_size, cfg.seed), cfg)
+    batches = make_batches(train.labels, cfg.batch_size, seed=cfg.seed)
+    _check_batch_capacity(train, batches, cfg)
     full_table = build_triples(train, cfg.neighbor_config)
     report = TrainReport()
     best_loss, best_x = np.inf, x
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        batches = make_batches(train.labels, cfg.batch_size, seed=cfg.seed + epoch)
+        if epoch:  # epoch 0 trains on the partition checked above
+            batches = make_batches(train.labels, cfg.batch_size, seed=cfg.seed + epoch)
         for batch_idx, idx in enumerate(batches):
             # one batch is arange(n): the full set's features and table
             batch_features, table = (features, full_table) if len(batches) == 1 else (

@@ -654,6 +654,11 @@ def test_rerun_from_manifest_in_another_directory(digit_files, tmp_path, monkeyp
       "--out-train", "{out}/tr.csv", "--out-test", "{out}/te.csv"], 2, "--seed"),
     (["--config", "{latin1}", "split", "--csv", "{train}", "--out-train", "{out}/tr.csv",
       "--out-test", "{out}/te.csv"], 2, "latin1.cfg: not UTF-8"),
+    # a repeated key is refused, not settled by its last value
+    *[(["--config", f"{{{name}}}", "finetune", "--train-csv", "{train}", "--init", "random",
+        "--layers", "64,4", "--out", "{out}/o.dnkn"], 2, message)
+      for name, message in (("twice", "twice.cfg:4: epochs was already set on line 1"),
+                            ("dashed", "dashed.cfg:3: cg_iters was already set on line 1"))],
     *[(["split", "--csv", f"{{{name}}}", "--out-train", "{out}/tr.csv",
         "--out-test", "{out}/te.csv"], 3, "first column must hold integer labels")
       for name in ("nan", "inf", "huge")],
@@ -687,23 +692,45 @@ def test_rerun_from_manifest_in_another_directory(digit_files, tmp_path, monkeyp
      2, "for --out"),
     (["pretrain", "--train-csv", "{out}/a\nb.csv", "--layers", "64,4",
       "--out", "{out}/m.dnkn"], 2, "for --train-csv"),
-], ids=["pretrain-seed", "finetune-seed", "split-seed", "config-not-utf8", "label-nan",
+    # a manifest could not rerun a run whose files collide
+    (["finetune", "--train-csv", "{train}", "--init", "random", "--layers", "64,4",
+      "--k", "2", "--m", "1", "--out", "{out}/o.dnkn", "--report", "{out}/o.dnkn"],
+     2, "--report and --out"),
+    (["split", "--csv", "{train}", "--per-class-train", "2", "--per-class-test", "1",
+      "--out-train", "{out}/s.csv", "--out-test", "{out}/s.csv"], 2,
+     "--out-test and --out-train"),
+    (["pretrain", "--train-csv", "{copy}", "--layers", "64,4", "--out", "{copy}"], 2,
+     "--out and --train-csv"),
+    # the default report path, <out>.report.csv, is a directory
+    (["finetune", "--train-csv", "{train}", "--init", "random", "--layers", "64,4",
+      "--k", "2", "--m", "1", "--out", "{inputs}/taken.dnkn"], 2, "for --report"),
+], ids=["pretrain-seed", "finetune-seed", "split-seed", "config-not-utf8",
+        "config-key-repeated", "config-key-repeated-with-dash", "label-nan",
         "label-inf", "label-1e20", "dtype-float16", "eval-empty-test",
         "split-negative-count", "split-path-not-utf8", "finetune-report-dir-missing",
         "split-out-test-dir-missing", "pretrain-out-dir-missing",
-        "pretrain-out-trailing-space", "pretrain-train-csv-line-break"])
+        "pretrain-out-trailing-space", "pretrain-train-csv-line-break",
+        "finetune-report-is-out", "split-out-train-is-out-test", "pretrain-out-is-input",
+        "finetune-default-report-is-a-directory"])
 def test_bad_input_exits_with_one_error_line_and_writes_nothing(
         digit_files, tmp_path, capsys, argv, code, message):
     inputs, out = tmp_path / "in", tmp_path / "out"
     inputs.mkdir()
     out.mkdir()
     (inputs / "latin1.cfg").write_bytes("# caf\u00e9\nstyle = fixed\n".encode("latin-1"))
+    (inputs / "twice.cfg").write_text("epochs = 1\nk = 2\n\nepochs = 3\n")
+    (inputs / "dashed.cfg").write_text("cg-iters = 1\nm = 1\ncg_iters = 2\n")
     for name, label in (("nan", "nan"), ("inf", "inf"), ("huge", "1e20")):
         (inputs / f"{name}.csv").write_text(f"0,0.25\n{label},0.5\n")
     empty = Dataset(np.empty((0, 64)), np.empty(0, dtype=np.int64), 1)
     save_idx(empty, inputs / "empty-images.idx", inputs / "empty-labels.idx")
-    paths = {"train": digit_files / "train.csv", "out": out,
-             "latin1": inputs / "latin1.cfg", "nan": inputs / "nan.csv",
+    shutil.copy(digit_files / "train.csv", inputs / "copy.csv")
+    (inputs / "taken.dnkn.report.csv").mkdir()
+    before = {p: p.read_bytes() if p.is_file() else None for p in inputs.rglob("*")}
+    paths = {"train": digit_files / "train.csv", "out": out, "inputs": inputs,
+             "copy": inputs / "copy.csv",
+             "latin1": inputs / "latin1.cfg", "twice": inputs / "twice.cfg",
+             "dashed": inputs / "dashed.cfg", "nan": inputs / "nan.csv",
              "inf": inputs / "inf.csv", "huge": inputs / "huge.csv",
              "empty_images": inputs / "empty-images.idx",
              "empty_labels": inputs / "empty-labels.idx"}
@@ -713,6 +740,7 @@ def test_bad_input_exits_with_one_error_line_and_writes_nothing(
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert list(out.iterdir()) == []
+    assert {p: p.read_bytes() if p.is_file() else None for p in inputs.rglob("*")} == before
 
 
 def test_usage_error_exits_2():

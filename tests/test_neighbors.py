@@ -14,11 +14,11 @@ from dnetknn.neighbors import (
     _CHUNK_CELLS,
     NeighborConfig,
     build_triples,
+    float_rows,
     impostor_neighbors,
     nearest,
     pixel_dists,
     pixel_rows,
-    sq_dists,
     target_neighbors,
 )
 
@@ -33,8 +33,9 @@ def oracle_nearest(dists, count):
 
 
 def oracle_sq_dists(a, b):
-    """The direct formula sq_dists evaluates in place: |a|^2 + |b|^2 - 2 a b^T,
-    clipped at zero, with three block-sized temporaries."""
+    """The direct formula `pixel_dists` evaluates in place off the grid:
+    |a|^2 + |b|^2 - 2 a b^T, clipped at zero, with three block-sized
+    temporaries."""
     with np.errstate(over="ignore", invalid="ignore"):
         aa = (a * a).sum(axis=1)[:, None]
         bb = (b * b).sum(axis=1)[None, :]
@@ -139,12 +140,15 @@ class TestNearest:
             np.testing.assert_array_equal(nearest(dists, count), oracle_nearest(dists, count))
 
     def test_overflowing_distances_raise(self):
-        big = np.array([[1e200, 0.0], [0.0, 1e200]])
+        big = float_rows(np.array([[1e200, 0.0], [0.0, 1e200]]))
         with pytest.raises(DivergenceError, match="overflow"):
-            sq_dists(big, big)
+            pixel_dists(big, big)
 
 
 class TestSqDists:
+    """`pixel_dists` of `float_rows`, the off-grid block: always float64, so
+    float32 input is compared as its float64 values."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("chunk_cells", [_CHUNK_CELLS, 7])
     def test_matches_direct_formula_bit_for_bit(self, monkeypatch, dtype, chunk_cells):
@@ -157,17 +161,30 @@ class TestSqDists:
             a = (rng.standard_normal((rows, dim)) * 3).astype(dtype)
             b = (rng.standard_normal((cols, dim)) * 3).astype(dtype)
             b[0] = a[0]  # an exact zero distance
-            got = sq_dists(a, b)
-            assert got.dtype == dtype
-            assert got.tobytes() == oracle_sq_dists(a, b).tobytes()
+            got = pixel_dists(float_rows(a), float_rows(b))
+            assert got.dtype == np.float64
+            want = oracle_sq_dists(a.astype(np.float64), b.astype(np.float64))
+            assert got.tobytes() == want.tobytes()
 
     def test_overflow_in_a_later_chunk_raises(self, monkeypatch):
         monkeypatch.setattr(neighbors, "_CHUNK_CELLS", 4)
         a = np.zeros((9, 2))
         a[7] = [1e200, 0.0]
         assert not np.isfinite(oracle_sq_dists(a, a)).all()
+        rows = float_rows(a)
         with pytest.raises(DivergenceError, match="overflow"):
-            sq_dists(a, a)
+            pixel_dists(rows, rows)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("idx", [slice(3, 11), [9, 0, 4, 4, 17], [5]],
+                             ids=["slice", "fancy", "one-row"])
+    def test_take_is_the_rows_alone(self, dtype, idx):
+        # the invariant that lets an array's norms be computed once
+        x = (np.random.default_rng(13).standard_normal((20, 37)) * 50).astype(dtype)
+        got, want = float_rows(x).take(idx), float_rows(x[idx])
+        assert got.rows.dtype == got.norms.dtype == np.float64
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.norms.tobytes() == want.norms.tobytes()
 
 
 def test_tables_match_full_sort_selection(monkeypatch):
@@ -280,11 +297,13 @@ class TestBuildTriples:
     def test_oversized_m_fails_before_any_block(self, monkeypatch):
         blocks = []
 
-        def counting_sq_dists(a, b):
-            blocks.append((a.shape, b.shape))
-            return sq_dists(a, b)
+        original = neighbors.pixel_dists
 
-        monkeypatch.setattr(neighbors, "sq_dists", counting_sq_dists)
+        def counting_pixel_dists(a, b):
+            blocks.append((a.rows.shape, b.rows.shape))
+            return original(a, b)
+
+        monkeypatch.setattr(neighbors, "pixel_dists", counting_pixel_dists)
         rng = np.random.default_rng(9)
         data = Dataset(rng.random((200, 4)), np.repeat(np.arange(10), 20), 10)
         with pytest.raises(CapacityError, match="class 0 has 20 members"):
@@ -440,7 +459,7 @@ class TestByteGrid:
             x = rows / 255.0
             y = np.vstack([x[::-1], faint / 255.0])
             a, b = pixel_rows(x, y)
-            assert a.norms is not None
+            assert a.norms.dtype == b.norms.dtype == np.int64
             got = pixel_dists(a, b)
             assert got.dtype == np.int32
             np.testing.assert_array_equal(got, byte_sq_dists(x, y))
@@ -468,34 +487,34 @@ class TestByteGrid:
     ])
     def test_off_the_grid_rows_stay_as_they_are(self, features):
         (rows,) = pixel_rows(features)
-        assert rows.norms is None and rows.rows is features
+        assert rows.norms.dtype == np.float64 and rows.rows is features
 
     def test_off_the_grid_float32_rows_come_back_as_float64(self):
         features = np.array([[0.3, 1.0], [2.5, -7.25]], dtype=np.float32)
         (rows,) = pixel_rows(features)
-        assert rows.norms is None and rows.rows.dtype == np.float64
+        assert rows.norms.dtype == rows.rows.dtype == np.float64
         np.testing.assert_array_equal(rows.rows, features)
 
     def test_one_row_off_the_grid_keeps_every_array_as_it_is(self):
         on, off = np.array([[1 / 255.0]]), np.array([[0.3 + 1e-9]])
-        assert all(r.norms is None for r in pixel_rows(on, off))
-        assert all(r.norms is not None for r in pixel_rows(on, on))
+        assert all(r.norms.dtype == np.float64 for r in pixel_rows(on, off))
+        assert all(r.norms.dtype == np.int64 for r in pixel_rows(on, on))
 
     def test_off_grid_tables_are_the_sq_dists_tables(self):
-        # blobs are off the grid: each unordered class pair is one sq_dists
+        # blobs are off the grid: each unordered class pair is one float64
         # block, and the reverse direction selects from its transpose
         data = make_blobs(per_class=25, num_classes=4, dim=7, seed=63)
-        assert pixel_rows(data.features)[0].norms is None
+        assert pixel_rows(data.features)[0].norms.dtype == np.float64
         k, m, f = 3, 4, data.features
         per_class = [data.class_indices(cls) for cls in range(4)]
         targets = np.empty((len(data), k), dtype=np.int64)
         chosen = [[] for _ in range(4)]
         for a, idx in enumerate(per_class):
-            d = sq_dists(f[idx], f[idx])
+            d = oracle_sq_dists(f[idx], f[idx])
             np.fill_diagonal(d, np.inf)
             targets[idx] = idx[nearest(d, k)]
             for b in range(a + 1, 4):
-                d = sq_dists(f[idx], f[per_class[b]])
+                d = oracle_sq_dists(f[idx], f[per_class[b]])
                 chosen[a].append(per_class[b][nearest(d, m)])
                 chosen[b].append(idx[nearest(d.T, m)])
         impostors = np.empty((len(data), 3 * m), dtype=np.int64)
@@ -522,7 +541,8 @@ class TestByteGrid:
             digits = make_digits(3, side=8, seed=65)
             keep = np.flatnonzero(digits.labels < 4)
             data = Dataset(digits.features[keep], digits.labels[keep], 4)
-        assert (pixel_rows(data.features)[0].norms is None) == (features == "blobs")
+        grid = pixel_rows(data.features)[0].norms.dtype == np.int64
+        assert grid == (features == "digits")
         impostor_neighbors(data, 2)
         assert len(calls) == 6
 

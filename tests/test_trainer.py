@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dnetknn import margin, trainer
+from dnetknn.dataset import make_batches
 from dnetknn.encoder import (
     EncoderParams,
     forward,
@@ -320,6 +321,21 @@ class TestFinetune:
         _, report = finetune(data, cfg, init_encoder((4, 2), seed=0))
         assert len(report.losses) == 2
         assert built == [21, 10, 10, 10, 10]  # the full set, then 2 batches per epoch
+
+    def test_each_epoch_deals_its_batches_once(self, monkeypatch):
+        # epoch 0's partition is the one the capacity check saw
+        seeds = []
+
+        def counting_make_batches(labels, batch_size, seed):
+            seeds.append(seed)
+            return make_batches(labels, batch_size, seed)
+
+        monkeypatch.setattr(trainer, "make_batches", counting_make_batches)
+        data = make_blobs(per_class=21, num_classes=10, dim=4, seed=0)
+        cfg = TrainConfig(layer_sizes=(4, 2), k=2, m=2, batch_size=100, epochs=3,
+                          cg_line_searches=1, seed=5)
+        finetune(data, cfg, init_encoder((4, 2), seed=0))
+        assert seeds == [5, 6, 7]
 
     @pytest.mark.parametrize("case", [
         # class 2 has 3 members, dealt 2 and 1 into the two batches; k + 1 = 3
