@@ -19,7 +19,8 @@ records the resolved values, with paths made absolute, so any run can be
 reproduced from its manifest alone, from any working directory.  Output
 paths are checked as they are resolved, before any data is read, and a run
 is refused when two of its outputs (the manifest included) or an output and
-an input are one file.
+an input are one file.  The ``--config`` file is an input, except to its own
+manifest, which a rerun from that manifest rewrites.
 
 A handler returns nothing or raises; ``main`` alone turns a run into an exit
 status: 0 ok, else the raised error's ``exit_code`` (see `errors`; 2 config, 3
@@ -235,25 +236,30 @@ def _resolve(args) -> dict:
         _require(cfg, name)
     if "report" in cfg and cfg["report"] is None:  # finetune's default report path
         cfg["report"] = _convert("report", cfg["out"] + ".report.csv")
-    _check_collisions(spec.options, cfg)
+    _check_collisions(spec.options, cfg, args.config)
     return cfg
 
 
-def _check_collisions(options, cfg: dict) -> None:
+def _check_collisions(options, cfg: dict, config) -> None:
     """Refuse a run that would write one file twice or overwrite an input;
     its manifest could not rerun it.  The outputs are the ``_out_path``
     options and the manifest beside the first, the inputs the ``_path``
-    options and a checkpoint ``--init``.  ``--config`` is no input here:
-    rerunning a manifest rewrites it by design."""
+    options, a checkpoint ``--init`` and the ``--config`` file.  The manifest
+    alone may be the config file: rerunning a manifest rewrites it by
+    design."""
     outputs = [(_flag(name), cfg[name]) for name in options
                if _OPTIONS[name].convert is _out_path and cfg[name] is not None]
-    if outputs:
-        outputs.append((f"the manifest of {outputs[0][0]}", outputs[0][1] + ".manifest"))
     seen = {os.path.realpath(cfg[name]): _flag(name) for name in options
             if _OPTIONS[name].convert in (_path, _init) and cfg[name] not in (None, "random")}
+    if config is not None:
+        seen.setdefault(os.path.realpath(config), "--config")
+    manifest = None
+    if outputs:
+        manifest = f"the manifest of {outputs[0][0]}"
+        outputs.append((manifest, outputs[0][1] + ".manifest"))
     for flag, path in outputs:
         real = os.path.realpath(path)
-        if real in seen:
+        if real in seen and (seen[real], flag) != ("--config", manifest):
             raise ConfigError(f"{flag} and {seen[real]} name one file, {path}")
         seen[real] = flag
 

@@ -179,6 +179,14 @@ def backward(params: EncoderParams, acts: tuple[np.ndarray, ...],
     `acts` are the activations from forward_with_cache.  Returns one vector
     lined up with params.vector; each layer's dW and dbias are written
     straight into that layer's slice.
+
+    A hidden layer's delta, (upstream * out) * (1 - out), is formed in the
+    buffer of upstream, this function's own product with the layer above,
+    with 1 - out taken in row chunks of at most _CHUNK_CELLS cells.  So the
+    working set is one delta of the widest layer beside the next one down,
+    not three.  It stays in place only when the product keeps upstream's
+    dtype; a wider one (float32 upstream, float64 activations) is a new
+    array, as the product would be.  code_grad is never written into.
     """
     layers = params.layers
     if len(acts) != len(layers) + 1:
@@ -196,7 +204,15 @@ def backward(params: EncoderParams, acts: tuple[np.ndarray, ...],
     upstream = code_grad
     for t in range(len(layers) - 1, -1, -1):
         out = acts[t + 1]
-        delta = upstream * out * (1.0 - out) if t < len(layers) - 1 else upstream
+        delta = upstream
+        if t < len(layers) - 1:  # upstream is delta @ W.T from the layer above
+            if upstream.dtype == np.result_type(upstream, out):
+                delta *= out
+            else:
+                delta = upstream * out
+            step = max(1, _CHUNK_CELLS // out.shape[1])
+            for start in range(0, out.shape[0], step):
+                delta[start : start + step] *= 1.0 - out[start : start + step]
         dw, db = grads[t]
         np.matmul(acts[t].T, delta, out=dw)
         delta.sum(axis=0, out=db)

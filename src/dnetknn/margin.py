@@ -94,10 +94,11 @@ def _hinge_pass(codes: np.ndarray, table: TriplesTable,
         if target_w is None:
             active += int(np.count_nonzero(viol))
         else:
-            # integer sums over the mask's bytes: 0 or 1 each
+            # integer sums over the mask's bytes: 0 or 1 each, so a count
+            # is at most M and int32 holds it
             ones = viol.view(np.uint8)
-            target_w[chunk] = ones.sum(axis=2, dtype=np.int64)
-            impostor_w[chunk] = ones.sum(axis=1, dtype=np.int64)
+            target_w[chunk] = ones.sum(axis=2, dtype=np.int32)
+            impostor_w[chunk] = ones.sum(axis=1, dtype=np.int32)
             active += int(target_w[chunk].sum())
     return MarginLoss(value, active)
 
@@ -113,8 +114,8 @@ def loss_and_code_grad(codes: np.ndarray,
     gradient with respect to every code row by scattering this call's
     per-pair active counts; it repeats no hinge pass."""
     codes = np.atleast_2d(np.asarray(codes))
-    target_w = np.empty(table.targets.shape, dtype=np.int64)
-    impostor_w = np.empty(table.impostors.shape, dtype=np.int64)
+    target_w = np.empty(table.targets.shape, dtype=np.int32)
+    impostor_w = np.empty(table.impostors.shape, dtype=np.int32)
     result = _hinge_pass(codes, table, target_w, impostor_w)
 
     def gradient() -> np.ndarray:

@@ -92,7 +92,11 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
     an adaptive initial step until the Armijo condition holds.  Every trial
     point is a new array, evaluated once, in x0's dtype; no point, x0
     included, is ever written into.  gradient_fn runs only at x0 and at
-    accepted points, and is dropped before the next trial.
+    accepted points, and is dropped once it has returned.  Beside the
+    objective's own arrays, CG holds at most five parameter-sized vectors:
+    the point, a trial point or the new gradient, the gradient, the
+    direction, and g_new - g for beta.  A trial point is formed in the
+    scaled direction's buffer, and the direction is updated in place.
     Returns the final point, the very array objective evaluated there, and
     the results [at x0, after each accepted step]: the last is the result
     at the returned point.  Their values never increase.
@@ -119,7 +123,11 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
             if alpha * (-slope) < resolution:
                 break  # the demanded decrease is below float resolution of f
             gradient = None  # hold one point's evaluation at a time
-            x_try = x + alpha * direction
+            x_try = alpha * direction
+            if x_try.dtype == np.result_type(x_try, x):
+                x_try += x
+            else:  # a gradient narrower than the point: the sum takes x's dtype
+                x_try = x + x_try
             result_try, gradient = objective(x_try)
             f_try = float(result_try)
             if np.isfinite(f_try) and f_try <= f0 + ARMIJO * alpha * slope:
@@ -134,10 +142,12 @@ def polak_ribiere_minimize(objective, x0: np.ndarray,
         x, f0, result = x_try, f_try, result_try
         step = 2.0 * alpha
         g_new = gradient()
+        gradient = None  # frees the point's evaluation before the vector updates
         if not all_finite(g_new):
             raise DivergenceError("objective became non-finite after a step")
         beta = max(0.0, float(g_new @ (g_new - g)) / gnorm2)
-        direction = -g_new + beta * direction
+        direction *= beta  # direction is -g or CG's own update of it
+        direction -= g_new
         g = g_new
         gnorm2 = float(g @ g)
         trajectory.append(result)
@@ -177,7 +187,7 @@ def finetune(train: Dataset, cfg: TrainConfig,
         raise DimensionError(f"encoder input width {init.widths[0]} != data dim {train.dim}")
     dtype = np.dtype(cfg.dtype)
     features = train.features.astype(dtype, copy=False)
-    x = init.vector.astype(dtype)
+    x = init.vector.astype(dtype, copy=False)
 
     batches = make_batches(train.labels, cfg.batch_size, seed=cfg.seed)
     _check_batch_capacity(train, batches, cfg)

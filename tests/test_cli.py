@@ -701,6 +701,10 @@ def test_rerun_from_manifest_in_another_directory(digit_files, tmp_path, monkeyp
      "--out-test and --out-train"),
     (["pretrain", "--train-csv", "{copy}", "--layers", "64,4", "--out", "{copy}"], 2,
      "--out and --train-csv"),
+    # only a manifest rerun may write over its --config file
+    (["--config", "{style}", "split", "--csv", "{train}", "--per-class-train", "1",
+      "--per-class-test", "1", "--out-train", "{style}", "--out-test", "{out}/te.csv"], 2,
+     "--out-train and --config"),
     # the default report path, <out>.report.csv, is a directory
     (["finetune", "--train-csv", "{train}", "--init", "random", "--layers", "64,4",
       "--k", "2", "--m", "1", "--out", "{inputs}/taken.dnkn"], 2, "for --report"),
@@ -711,7 +715,7 @@ def test_rerun_from_manifest_in_another_directory(digit_files, tmp_path, monkeyp
         "split-out-test-dir-missing", "pretrain-out-dir-missing",
         "pretrain-out-trailing-space", "pretrain-train-csv-line-break",
         "finetune-report-is-out", "split-out-train-is-out-test", "pretrain-out-is-input",
-        "finetune-default-report-is-a-directory"])
+        "split-out-train-is-config", "finetune-default-report-is-a-directory"])
 def test_bad_input_exits_with_one_error_line_and_writes_nothing(
         digit_files, tmp_path, capsys, argv, code, message):
     inputs, out = tmp_path / "in", tmp_path / "out"
@@ -720,6 +724,7 @@ def test_bad_input_exits_with_one_error_line_and_writes_nothing(
     (inputs / "latin1.cfg").write_bytes("# caf\u00e9\nstyle = fixed\n".encode("latin-1"))
     (inputs / "twice.cfg").write_text("epochs = 1\nk = 2\n\nepochs = 3\n")
     (inputs / "dashed.cfg").write_text("cg-iters = 1\nm = 1\ncg_iters = 2\n")
+    (inputs / "style.cfg").write_text("style = fixed\n")
     for name, label in (("nan", "nan"), ("inf", "inf"), ("huge", "1e20")):
         (inputs / f"{name}.csv").write_text(f"0,0.25\n{label},0.5\n")
     empty = Dataset(np.empty((0, 64)), np.empty(0, dtype=np.int64), 1)
@@ -730,7 +735,8 @@ def test_bad_input_exits_with_one_error_line_and_writes_nothing(
     paths = {"train": digit_files / "train.csv", "out": out, "inputs": inputs,
              "copy": inputs / "copy.csv",
              "latin1": inputs / "latin1.cfg", "twice": inputs / "twice.cfg",
-             "dashed": inputs / "dashed.cfg", "nan": inputs / "nan.csv",
+             "dashed": inputs / "dashed.cfg", "style": inputs / "style.cfg",
+             "nan": inputs / "nan.csv",
              "inf": inputs / "inf.csv", "huge": inputs / "huge.csv",
              "empty_images": inputs / "empty-images.idx",
              "empty_labels": inputs / "empty-labels.idx"}

@@ -62,6 +62,21 @@ def oracle_forward(params, x):
     return np.array(out)
 
 
+def reference_backward(params, acts, code_grad):
+    """The chain rule with every hidden delta a new upstream * out * (1 - out)."""
+    layers = params.layers
+    grad = np.empty(params.num_params, dtype=np.result_type(acts[-1], code_grad))
+    grads = encoder._split(params.widths, grad)
+    upstream = code_grad
+    for t in range(len(layers) - 1, -1, -1):
+        out = acts[t + 1]
+        delta = upstream * out * (1.0 - out) if t < len(layers) - 1 else upstream
+        np.matmul(acts[t].T, delta, out=grads[t][0])
+        delta.sum(axis=0, out=grads[t][1])
+        upstream = delta @ layers[t][0].T
+    return grad
+
+
 def max_block_relative_error(analytic, numeric):
     worst = 0.0
     for (da, dba), (dn, dbn) in zip(analytic, numeric):
@@ -263,6 +278,60 @@ class TestBackward:
         _, cache = forward_with_cache(params, x)
         with pytest.raises(ConsistencyError, match="2 activations for 2 layers"):
             backward(params, cache[1:], np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("param_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("input_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    def test_in_place_deltas_match_the_reference_bit_for_bit(self, monkeypatch, param_dtype,
+                                                            input_dtype, grad_dtype):
+        # float32 upstream on float64 activations must not be narrowed; the
+        # small chunk budget puts several row chunks, the last one ragged,
+        # into every hidden layer
+        monkeypatch.setattr(encoder, "_CHUNK_CELLS", 20)
+        p = random_params([9, 7, 5, 3], seed=21)
+        params = EncoderParams(p.widths, p.vector.astype(param_dtype))
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((11, 9)).astype(input_dtype)
+        code_grad = rng.standard_normal((11, 3)).astype(grad_dtype)
+        _, acts = forward_with_cache(params, x)
+        got = backward(params, acts, code_grad)
+        want = reference_backward(params, acts, code_grad)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(5, 3), (5, 4, 4, 3)])
+    def test_inputs_are_not_written(self, sizes):
+        params = random_params(sizes, seed=23)
+        rng = np.random.default_rng(24)
+        _, acts = forward_with_cache(params, rng.standard_normal((6, 5)))
+        code_grad = rng.standard_normal((6, 3))
+        before = [a.copy() for a in (*acts, code_grad)]
+        for a in (*acts, code_grad):
+            a.setflags(write=False)  # a write would raise
+        backward(params, acts, code_grad)
+        for a, b in zip((*acts, code_grad), before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_peak_is_one_delta_of_the_widest_layer(self):
+        # desk shapes: a hidden delta formed from fresh temporaries held three
+        # (rows, 1000) float32 arrays at once; in place it holds one, a row
+        # chunk of 1 - out, and the narrower layers' deltas
+        sizes, rows = (784, 250, 250, 1000, 30), 2000
+        p = init_encoder(sizes, seed=0, weight_scale=0.05)
+        params = EncoderParams(p.widths, p.vector.astype(np.float32))
+        rng = np.random.default_rng(25)
+        _, acts = forward_with_cache(params, rng.random((rows, 784), dtype=np.float32))
+        code_grad = rng.standard_normal((rows, 30)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            grad = backward(params, acts, code_grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        hidden, itemsize = sizes[1:-1], 4
+        bound = itemsize * (rows * max(hidden) + encoder._CHUNK_CELLS
+                            + rows * (sum(hidden) - max(hidden)))
+        assert peak - grad.nbytes <= bound
 
     def test_code_grad_shape_mismatch(self):
         params = random_params([5, 4, 3], seed=14)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -125,6 +126,48 @@ class TestPolakRibiere:
         assert len(set(points)) == len(points)
         assert differentiated[0] == 0
         assert [values[i] for i in differentiated] == [trajectory[0]] + accepted
+
+
+    def test_working_set_is_five_vectors(self):
+        # 0.5 sum(d x^2) - b.x: its value makes one temporary and its gradient
+        # one array, so the rest of the traced peak is CG's own vectors
+        n = 1 << 20
+        rng = np.random.default_rng(4)
+        d = 1.0 + rng.random(n)
+        b = rng.standard_normal(n)
+
+        def objective(x):
+            def gradient():
+                g = d * x
+                g -= b
+                return g
+
+            return 0.5 * float(x @ (d * x)) - float(b @ x), gradient
+
+        x0 = np.zeros(n)
+        tracemalloc.start()
+        try:
+            _, trajectory = polak_ribiere_minimize(objective, x0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trajectory[0] > trajectory[1] > trajectory[2] > trajectory[3]
+        assert peak / x0.nbytes < 5.5
+
+    @pytest.mark.parametrize("point, gradient", [(np.float32, np.float64),
+                                                 (np.float64, np.float32)])
+    def test_trial_points_take_the_wider_dtype(self, point, gradient):
+        quadratic = quadratic_problem(6, seed=3)
+        seen = []
+
+        def objective(x):
+            seen.append(x.dtype)
+            value, grad = quadratic(x)
+            return value, lambda: grad().astype(gradient)
+
+        polak_ribiere_minimize(objective, np.zeros(6, point), 4)
+        assert len(seen) > 1
+        assert set(seen[1:]) == {np.dtype(np.float64)}
 
 
 class TestFinetune:
